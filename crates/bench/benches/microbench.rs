@@ -11,8 +11,11 @@ use sb_geo::Epoch;
 use sb_orbit::walker::WalkerConstellation;
 use sb_sim::engine::{self, AlgorithmKind};
 use sb_sim::ScenarioConfig;
+use sb_topology::graph::EdgeId;
 use sb_topology::series::build_snapshot;
-use sb_topology::{NetworkNodes, SlotIndex, TopologyConfig, TopologySeries};
+use sb_topology::{
+    NetworkNodes, NodeId, SlotIndex, TopologyConfig, TopologySeries, TopologySnapshot,
+};
 
 fn network() -> (NetworkState, sb_topology::NodeId, sb_topology::NodeId) {
     let shell = WalkerConstellation::delta(16, 16, 5, 550e3, 53f64.to_radians());
@@ -300,6 +303,54 @@ fn bench_parallel_quote(c: &mut Criterion) {
     c.bench_function("quote_10slot_parallel", |b| b.iter(|| parallel.quote(&request, &state)));
 }
 
+/// The same graph in the dense layout, rebuilt through the public API.
+fn dense_twin(split: &TopologySnapshot) -> TopologySnapshot {
+    let nodes = (0..split.num_nodes() as u32).map(NodeId);
+    TopologySnapshot::from_edges(
+        split.slot(),
+        split.kinds().to_vec(),
+        nodes.clone().map(|v| split.position(v)).collect(),
+        nodes.map(|v| split.is_sunlit(v)).collect(),
+        split.edges().collect(),
+    )
+}
+
+fn bench_snapshot_lookup(c: &mut Criterion) {
+    // Every accessor the admission path addresses a snapshot through, one
+    // pass over the whole slot, split (production) against dense layout:
+    // a layout change that makes one of them slower shows here before it
+    // shows as a slower decision.
+    let mut group = c.benchmark_group("snapshot_lookup");
+    for scenario in [ScenarioConfig::paper(), ScenarioConfig::mega()] {
+        let scenario = ScenarioConfig { horizon_slots: 2, ..scenario };
+        let prepared = engine::prepare(&scenario, 0);
+        let split = prepared.series.snapshot(SlotIndex(1)).clone();
+        assert!(split.is_split(), "the production layout is the split one");
+        let dense = dense_twin(&split);
+        for (layout, snap) in [("split", &split), ("dense", &dense)] {
+            let ids = 0..snap.num_edges() as u32;
+            let nodes = 0..snap.num_nodes() as u32;
+            let name = &scenario.name;
+            group.bench_function(format!("edge/{layout}/{name}"), |b| {
+                b.iter(|| ids.clone().map(|e| snap.edge(EdgeId(e)).length_m).sum::<f64>())
+            });
+            group.bench_function(format!("capacity_mbps/{layout}/{name}"), |b| {
+                b.iter(|| ids.clone().map(|e| snap.capacity_mbps(EdgeId(e))).sum::<f64>())
+            });
+            group.bench_function(format!("out_edges/{layout}/{name}"), |b| {
+                b.iter(|| {
+                    nodes
+                        .clone()
+                        .flat_map(|v| snap.out_edges(NodeId(v)))
+                        .map(|(_, edge)| edge.capacity_mbps)
+                        .sum::<f64>()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
@@ -307,6 +358,7 @@ criterion_group! {
               bench_tiny_end_to_end, bench_ground_grid, bench_tle_parse,
               bench_coverage, bench_failure_injection, bench_search_arena,
               bench_search_kernels, bench_quote_search_kinds,
-              bench_price_cache, bench_single_slot_admission, bench_parallel_quote
+              bench_price_cache, bench_single_slot_admission, bench_parallel_quote,
+              bench_snapshot_lookup
 }
 criterion_main!(benches);

@@ -207,6 +207,16 @@ impl Cear {
         }
     }
 
+    /// Creates CEAR with its price cache allocated at `state`'s full size
+    /// on the calling thread (see [`PriceCache::sized_for`]) — for a caller
+    /// that hands the instance to another thread to quote on.
+    pub fn sized_for(params: CearParams, state: &NetworkState) -> Self {
+        let cear = Cear::new(params);
+        cear.hot.borrow_mut().prices =
+            Some(PriceCache::sized_for(params.mu1(), params.mu2(), state));
+        cear
+    }
+
     /// Selects the search kernel. Purely an execution knob — quotes are
     /// **bit-identical** for either kind (see [`crate::sptcache`]).
     pub fn with_search(mut self, search: SearchKind) -> Self {
@@ -579,8 +589,10 @@ pub(crate) fn search_slot(
                 if let Some(rec) = reads.as_deref_mut() {
                     rec.record_bandwidth(state, slot, ctx.edge_id);
                 }
-                // Bandwidth feasibility (7b) and price.
-                if state.residual_mbps(slot, ctx.edge_id) + 1e-9 < rate {
+                // Bandwidth feasibility (7b) and price. The relaxation
+                // holds the edge, so its capacity costs no lookup.
+                let capacity = ctx.edge.capacity_mbps;
+                if state.residual_of(slot, ctx.edge_id, capacity) + 1e-9 < rate {
                     return None;
                 }
                 let mut cost = HOP_TIEBREAK * (1.0 + rate);
@@ -591,7 +603,7 @@ pub(crate) fn search_slot(
                         Some(pc) => rate * pc.link_unit_price(state, slot, ctx.edge_id),
                         None => pricing::bandwidth_price(
                             mu1,
-                            state.utilization(slot, ctx.edge_id),
+                            state.utilization_of(slot, ctx.edge_id, capacity),
                             rate,
                         ),
                     };

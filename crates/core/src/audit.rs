@@ -227,7 +227,7 @@ pub fn audit(state: &NetworkState) -> AuditReport {
     for (t, row) in refolded.iter().enumerate() {
         let slot = SlotIndex(t as u32);
         let snapshot = series.snapshot(slot);
-        for (i, &recomputed) in row.iter().enumerate() {
+        for ((i, &recomputed), capacity) in row.iter().enumerate().zip(snapshot.capacities()) {
             let edge = EdgeId(i as u32);
             let recorded = state.reserved_mbps(slot, edge);
             if recorded.to_bits() != recomputed.to_bits() {
@@ -238,7 +238,6 @@ pub fn audit(state: &NetworkState) -> AuditReport {
                     recomputed_mbps: recomputed,
                 });
             }
-            let capacity = snapshot.edge(edge).capacity_mbps;
             if !(recorded >= 0.0 && recorded <= capacity + 1e-6) {
                 report.push(AuditViolation::ResidualOutOfRange {
                     slot,

@@ -120,7 +120,7 @@ impl RoutingAlgorithm for Ecars {
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let factors = self.factors;
         route_and_commit(request, state, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
         })
@@ -134,7 +134,7 @@ impl RoutingAlgorithm for Ecars {
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let factors = self.factors;
         route_plan(request, state, known, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
         })

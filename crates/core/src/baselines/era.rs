@@ -92,7 +92,7 @@ impl RoutingAlgorithm for Era {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
         route_and_commit(request, state, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =
                 if edge_battery_deficit_j(ctx, slot, st) > threshold_j { hot } else { base };
@@ -109,7 +109,7 @@ impl RoutingAlgorithm for Era {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
         route_plan(request, state, known, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =
                 if edge_battery_deficit_j(ctx, slot, st) > threshold_j { hot } else { base };

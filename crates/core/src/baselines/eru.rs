@@ -88,7 +88,7 @@ impl RoutingAlgorithm for Eru {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
         })
@@ -106,7 +106,7 @@ impl RoutingAlgorithm for Eru {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }
-            let lambda_e = st.utilization(slot, ctx.edge_id);
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
         })

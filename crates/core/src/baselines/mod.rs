@@ -45,6 +45,8 @@ use sb_demand::Request;
 use sb_topology::SlotIndex;
 use std::cell::RefCell;
 
+const BASELINE_SPT_CAP: usize = 4096;
+
 thread_local! {
     /// One search arena per thread, shared by every baseline: the per-slot
     /// searches of all baseline calls on a thread reuse the same buffers
@@ -56,9 +58,20 @@ thread_local! {
     /// cells is sound. The capacity covers a sweep's working set of
     /// `(slot, source, model)` keys — a tight cap thrashes the LRU long
     /// before memory matters (entries are tens of KB).
-    static BASELINE_SPT: RefCell<SptCache> = RefCell::new(SptCache::new(4096));
+    static BASELINE_SPT: RefCell<SptCache> = RefCell::new(SptCache::new(BASELINE_SPT_CAP));
     /// Per-thread hop-bound geometry for the A\* heuristic.
     static BASELINE_GEOM: RefCell<GeomCache> = RefCell::new(GeomCache::default());
+}
+
+/// Drops everything the calling thread's baseline caches hold: the search
+/// arena, every stored tree and hop bound, and the `Arc<TopologySeries>`
+/// the SPT and geometry caches anchor on. They refill on the next baseline
+/// call; a run releases them when it ends so that its topology and trees
+/// do not stay pinned until the thread happens to route another baseline.
+pub fn release_thread_caches() {
+    BASELINE_SCRATCH.with(|cell| *cell.borrow_mut() = SearchScratch::new());
+    BASELINE_SPT.with(|cell| *cell.borrow_mut() = SptCache::new(BASELINE_SPT_CAP));
+    BASELINE_GEOM.with(|cell| *cell.borrow_mut() = GeomCache::default());
 }
 
 /// Shared baseline search: routes every active slot with `weight_fn`
@@ -109,7 +122,7 @@ pub(crate) fn route_plan(
                     if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
                         return None;
                     }
-                    if state.residual_mbps(slot, ctx.edge_id) + 1e-9 < rate {
+                    if state.residual_of(slot, ctx.edge_id, ctx.edge.capacity_mbps) + 1e-9 < rate {
                         return None;
                     }
                     weight_fn(ctx, slot, state)

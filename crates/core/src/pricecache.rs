@@ -61,6 +61,19 @@ impl PriceCache {
         PriceCache { mu1, mu2, link: Vec::new(), battery: Vec::new() }
     }
 
+    /// A cache with every row already at `state`'s size, so quoting never
+    /// grows it (it would otherwise grow edge by edge on first use).
+    pub fn sized_for(mu1: f64, mu2: f64, state: &NetworkState) -> Self {
+        let link = state
+            .series()
+            .snapshots()
+            .iter()
+            .map(|snapshot| vec![EMPTY; snapshot.num_edges()])
+            .collect();
+        let battery = vec![EMPTY; state.num_satellites() * state.horizon()];
+        PriceCache { mu1, mu2, link, battery }
+    }
+
     /// The link price base `μ₁`.
     pub fn mu1(&self) -> f64 {
         self.mu1

@@ -296,7 +296,11 @@ impl SearchScratch {
 
     /// Copies the settled state out into a standalone [`SettledTree`];
     /// unsettled states get `INFINITY` / source-marker predecessors.
-    fn export_tree(&self, n_states: usize, user_edges: Vec<(EdgeId, usize)>) -> SettledTree {
+    fn export_tree(
+        &self,
+        n_states: usize,
+        user_edges: Vec<(EdgeId, usize, NodeId)>,
+    ) -> SettledTree {
         let mut dist = vec![f64::INFINITY; n_states];
         let mut pred = vec![(usize::MAX, EdgeId(0)); n_states];
         for s in 0..n_states {
@@ -489,18 +493,19 @@ pub fn min_cost_path_with<H: Heuristic>(
 ///
 /// `dist[s]` / `pred[s]` are the final Dijkstra arrays over states
 /// (`INFINITY` / source marker when unreachable). `user_edges` lists every
-/// edge into a user node the settle skipped, as `(edge_id, from_state)`
-/// with `from_state == usize::MAX` for the source's own out-edges — the
-/// candidates [`path_via_tree`] evaluates to answer a concrete
-/// destination query without re-running the search.
+/// edge into a user node the settle skipped, as `(edge_id, from_state,
+/// user)` with `from_state == usize::MAX` for the source's own out-edges —
+/// the candidates [`path_via_tree`] evaluates to answer a concrete
+/// destination query without re-running the search; it looks up only
+/// those whose `user` is the destination.
 #[derive(Debug, Clone)]
 pub struct SettledTree {
     /// Final settled cost per state.
     pub dist: Vec<f64>,
     /// Final predecessor per state: (previous state or `usize::MAX`, edge).
     pub pred: Vec<(usize, EdgeId)>,
-    /// Edges into user nodes: (edge id, settled origin state).
-    pub user_edges: Vec<(EdgeId, usize)>,
+    /// Edges into user nodes: (edge id, settled origin state, the user).
+    pub user_edges: Vec<(EdgeId, usize, NodeId)>,
 }
 
 /// Runs the reference search from `source` with **no destination** until
@@ -526,7 +531,7 @@ pub fn settle_tree_in(
 
     for (edge_id, edge) in snapshot.out_edges(source) {
         if snapshot.kind(edge.dst).is_user() {
-            user_edges.push((edge_id, usize::MAX));
+            user_edges.push((edge_id, usize::MAX, edge.dst));
             continue;
         }
         let ctx = EdgeContext { slot, edge_id, edge: &edge, incoming: None };
@@ -553,7 +558,7 @@ pub fn settle_tree_in(
                 continue;
             }
             if snapshot.kind(edge.dst).is_user() {
-                user_edges.push((edge_id, state));
+                user_edges.push((edge_id, state, edge.dst));
                 continue;
             }
             let ctx = EdgeContext { slot, edge_id, edge: &edge, incoming: Some(incoming) };
@@ -589,11 +594,11 @@ pub fn path_via_tree(
     let slot = snapshot.slot();
     // Best (cost, pred) per destination state, tie-broken like offer().
     let mut best: [Option<(f64, (usize, EdgeId))>; 2] = [None, None];
-    for &(edge_id, from_state) in &tree.user_edges {
-        let edge = snapshot.edge(edge_id);
-        if edge.dst != destination {
+    for &(edge_id, from_state, user) in &tree.user_edges {
+        if user != destination {
             continue;
         }
+        let edge = snapshot.edge(edge_id);
         let (g0, incoming) = if from_state == usize::MAX {
             (0.0, None)
         } else {

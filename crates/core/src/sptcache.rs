@@ -27,17 +27,18 @@
 //!   settles thrashes — they run goal-directed A\* uncached instead.
 //!
 //! Validation is layered. An entry whose generations and request rate
-//! match serves in O(1). When only the rate changed, the stored
-//! per-edge *evaluation transcript* is replayed against the feasibility
-//! prune alone (weights never depend on the rate for the baselines that
-//! use this path). When the generations moved, the full transcript —
-//! feasibility plus weight bits per evaluated edge — is replayed; if every
-//! recorded evaluation would reproduce, the settle trajectory is
-//! necessarily unchanged (the search is a deterministic function of its
-//! evaluation results, by induction over the evaluation sequence), so the
-//! tree is still exact. `strict` entries (CEAR, whose weights read the
-//! energy overlay that the transcript does not capture) skip transcript
-//! replay and validate only by exact generation + rate match.
+//! match serves in O(1). Otherwise the stored per-edge *evaluation
+//! transcript* is replayed against the bandwidth prune: the weights of a
+//! model that uses this path depend on neither the rate nor the
+//! reservation state (see [`ModelSpec::volatile`]), so a commit, a release
+//! or another rate can change a recorded evaluation only by flipping its
+//! feasibility. If every recorded evaluation would reproduce, the settle
+//! trajectory is necessarily unchanged (the search is a deterministic
+//! function of its evaluation results, by induction over the evaluation
+//! sequence), so the tree is still exact. The replay reads one reservation
+//! cell per evaluation and nothing of the snapshot. `strict` entries
+//! (CEAR, whose weights read prices and the energy overlay) skip
+//! transcript replay and validate only by exact generation + rate match.
 //!
 //! Destination (user-node) edges are never part of a stored tree's
 //! transcript: `settle_tree_in` records them without consulting the cost
@@ -272,9 +273,9 @@ impl MinUnitPriceCache {
 /// discriminant-plus-parameter hash and the model's per-edge cost floor
 /// (used as the A\* heuristic unit).
 ///
-/// Contract for SPT reuse: the weight function must be a pure function of
-/// `(edge, incoming, slot, state)` — the transcript replay re-evaluates it
-/// against the live state and trusts bit equality.
+/// Contract for SPT reuse (`volatile == false`): the weight function must
+/// be a pure function of `(edge, incoming, slot)` — a stored tree is
+/// revalidated by replaying the bandwidth prune alone.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ModelSpec {
     /// Discriminates cost models (and their parameters) sharing a cache.
@@ -308,50 +309,21 @@ struct SptKey {
     model: u64,
 }
 
-/// One recorded cost-model evaluation from a settle: which edge, under
-/// which incoming link type, whether the bandwidth prune passed, and the
-/// returned weight's bit pattern (`u64::MAX` encodes `None`).
+/// One recorded cost-model evaluation from a settle: which edge, its link
+/// type (so the replay reads the capacity without locating the edge in the
+/// snapshot), and whether the bandwidth prune passed.
 #[derive(Debug, Clone, Copy)]
 struct EdgeEval {
     edge: EdgeId,
-    incoming_code: u8,
+    link_type: LinkType,
     feasible: bool,
-    cost_bits: u64,
-}
-
-const NO_WEIGHT_BITS: u64 = u64::MAX;
-
-fn weight_bits(weight: Option<f64>) -> u64 {
-    match weight {
-        Some(w) => w.to_bits(),
-        None => NO_WEIGHT_BITS,
-    }
-}
-
-impl EdgeEval {
-    fn new(edge: EdgeId, incoming: Option<LinkType>, feasible: bool, weight: Option<f64>) -> Self {
-        let incoming_code = match incoming {
-            None => 0,
-            Some(LinkType::Isl) => 1,
-            Some(LinkType::Usl) => 2,
-        };
-        EdgeEval { edge, incoming_code, feasible, cost_bits: weight_bits(weight) }
-    }
-
-    fn incoming(self) -> Option<LinkType> {
-        match self.incoming_code {
-            0 => None,
-            1 => Some(LinkType::Isl),
-            _ => Some(LinkType::Usl),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
 struct SptEntry {
     tree: SettledTree,
-    /// Every cost-model evaluation of the settle, in evaluation order —
-    /// the revalidation transcript (empty for `strict` entries).
+    /// Every bandwidth-prune evaluation of the settle — the revalidation
+    /// transcript (empty for `strict` entries).
     evals: Vec<EdgeEval>,
     /// Energy probes recorded at build, replayed on hits so speculative
     /// phase-2 validation still sees every ledger read (CEAR only).
@@ -566,6 +538,7 @@ pub(crate) fn baseline_route_slot<W>(
 where
     W: FnMut(&EdgeContext<'_>, SlotIndex, &NetworkState) -> Option<f64>,
 {
+    debug_assert!(!model.volatile, "a volatile model's weights outlive no commit");
     cache.ensure_anchor(state.series_arc());
     let snapshot = state.series().snapshot(slot);
     let key = SptKey { slot: slot.0, source: source.0, model: model.key };
@@ -575,43 +548,28 @@ where
     cache.tick += 1;
     let tick = cache.tick;
 
-    let feasible = |edge: EdgeId| state.residual_mbps(slot, edge) + 1e-9 >= rate;
+    // Bandwidth prune (7b) from a capacity the caller already holds: a
+    // relaxation has the edge, a transcript entry its link type.
+    let fits = |edge: EdgeId, capacity_mbps: f64| {
+        state.residual_of(slot, edge, capacity_mbps) + 1e-9 >= rate
+    };
+    let feasible = |ctx: &EdgeContext<'_>| fits(ctx.edge_id, ctx.edge.capacity_mbps);
+    let replays = |ev: &EdgeEval| {
+        fits(ev.edge, snapshot.capacity_mbps_of(ev.edge, ev.link_type)) == ev.feasible
+    };
 
     if let Some(entry) = cache.entries.get_mut(&key) {
-        let valid = if entry.slot_gen == slot_gen && entry.battery_gen == battery_gen {
-            // Same state: weights unchanged; a different rate can only
-            // move the feasibility prune, so replay just that.
-            entry.rate_bits == rate_bits
-                || (!entry.strict && entry.evals.iter().all(|ev| feasible(ev.edge) == ev.feasible))
-        } else {
-            // State moved on: replay the full transcript. If every
-            // recorded evaluation reproduces, the settle trajectory — and
-            // so the tree — is unchanged.
-            !entry.strict
-                && entry.evals.iter().all(|ev| {
-                    if feasible(ev.edge) != ev.feasible {
-                        return false;
-                    }
-                    if !ev.feasible {
-                        return true;
-                    }
-                    let edge = snapshot.edge(ev.edge);
-                    let ctx = EdgeContext {
-                        slot,
-                        edge_id: ev.edge,
-                        edge: &edge,
-                        incoming: ev.incoming(),
-                    };
-                    weight_bits(weight(&ctx, slot, state)) == ev.cost_bits
-                })
-        };
+        let unchanged = entry.slot_gen == slot_gen
+            && entry.battery_gen == battery_gen
+            && entry.rate_bits == rate_bits;
+        let valid = unchanged || (!entry.strict && entry.evals.iter().all(replays));
         if valid {
             entry.slot_gen = slot_gen;
             entry.battery_gen = battery_gen;
             entry.rate_bits = rate_bits;
             entry.tick = tick;
             let found = path_via_tree(&entry.tree, snapshot, source, destination, |ctx| {
-                if !feasible(ctx.edge_id) {
+                if !feasible(ctx) {
                     return None;
                 }
                 weight(ctx, slot, state)
@@ -623,13 +581,13 @@ where
 
     let mut evals: Vec<EdgeEval> = Vec::new();
     let tree = settle_tree_in(scratch, snapshot, source, |ctx| {
-        let ok = feasible(ctx.edge_id);
+        let ok = feasible(ctx);
         let w = if ok { weight(ctx, slot, state) } else { None };
-        evals.push(EdgeEval::new(ctx.edge_id, ctx.incoming, ok, w));
+        evals.push(EdgeEval { edge: ctx.edge_id, link_type: ctx.edge.link_type, feasible: ok });
         w
     });
     let found = path_via_tree(&tree, snapshot, source, destination, |ctx| {
-        if !feasible(ctx.edge_id) {
+        if !feasible(ctx) {
             return None;
         }
         weight(ctx, slot, state)

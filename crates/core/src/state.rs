@@ -42,18 +42,20 @@ fn next_epoch() -> u64 {
 /// stale and must be recomputed.
 ///
 /// Bandwidth reads are recorded per cell. Battery reads are recorded as
-/// the *whole horizon row* of the probed satellite: the energy recursion
-/// walks forward from the probe slot, so the row is a sound superset of
-/// the cells actually read, and committing/releasing always re-stamps
-/// whole rows anyway (see [`NetworkState::release_from`]).
+/// the *whole horizon row* of the probed satellite, by its row generation
+/// ([`NetworkState::battery_row_gen`], which moves iff any cell epoch of
+/// the row does): the energy recursion walks forward from the probe slot,
+/// so the row is a sound superset of the cells actually read, and
+/// committing/releasing always re-stamps whole rows anyway (see
+/// [`NetworkState::release_from`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EpochReadSet {
     /// `(slot, edge, epoch)` per bandwidth cell read, deduplicated by
     /// [`EpochReadSet::normalize`].
     bandwidth: Vec<(SlotIndex, EdgeId, u64)>,
-    /// `(satellite, row epochs over the whole horizon)` per satellite
-    /// whose battery was probed.
-    battery: Vec<(usize, Vec<u64>)>,
+    /// `(satellite, row generation)` per battery probe, deduplicated by
+    /// [`EpochReadSet::normalize`].
+    battery: Vec<(usize, u64)>,
 }
 
 impl EpochReadSet {
@@ -75,30 +77,28 @@ impl EpochReadSet {
         self.bandwidth.push((slot, edge, state.bandwidth_epoch(slot, edge)));
     }
 
-    /// Records a read of satellite `sat`'s battery (the whole horizon row
-    /// of deficit-cell epochs — a sound superset of any forward
-    /// recursion's actual reads).
+    /// Records a read of satellite `sat`'s battery (its whole horizon row
+    /// of deficit cells — a sound superset of any forward recursion's
+    /// actual reads).
+    #[inline]
     pub fn record_battery_row(&mut self, state: &NetworkState, sat: usize) {
-        if self.battery.iter().any(|&(s, _)| s == sat) {
-            return;
-        }
-        let row = (0..state.horizon()).map(|t| state.battery_epoch(sat, t)).collect();
-        self.battery.push((sat, row));
+        self.battery.push((sat, state.battery_row_gen(sat)));
     }
 
     /// Sorts and deduplicates the recorded reads. Duplicate reads of one
-    /// cell always carry the same epoch (they were taken against one
-    /// immutable snapshot), so dedup loses nothing.
+    /// cell or row always carry the same epoch (they were taken against
+    /// one immutable snapshot), so dedup loses nothing.
     pub fn normalize(&mut self) {
         self.bandwidth.sort_unstable_by_key(|&(s, e, _)| (s, e));
         self.bandwidth.dedup();
-        self.battery.sort_unstable_by_key(|&(sat, _)| sat);
+        self.battery.sort_unstable();
+        self.battery.dedup();
     }
 
     /// True when every recorded cell still holds its recorded epoch in
     /// `state` — i.e. replaying the quote there would reproduce it
-    /// bit-identically. A state with a different shape (horizon, edge
-    /// count) reads as stale, never panics.
+    /// bit-identically. A state with a different shape (horizon, edge or
+    /// satellite count) reads as stale, never panics.
     pub fn is_current(&self, state: &NetworkState) -> bool {
         for &(slot, edge, epoch) in &self.bandwidth {
             if slot.index() >= state.horizon()
@@ -108,15 +108,9 @@ impl EpochReadSet {
                 return false;
             }
         }
-        for (sat, row) in &self.battery {
-            if *sat >= state.num_satellites() || row.len() != state.horizon() {
-                return false;
-            }
-            if (0..row.len()).any(|t| state.battery_epoch(*sat, t) != row[t]) {
-                return false;
-            }
-        }
-        true
+        self.battery
+            .iter()
+            .all(|&(sat, gen)| sat < state.num_satellites() && state.battery_row_gen(sat) == gen)
     }
 
     /// Number of recorded bandwidth cells.
@@ -130,7 +124,8 @@ impl EpochReadSet {
         self.bandwidth.iter().map(|&(s, e, _)| (s, e))
     }
 
-    /// The satellites whose battery rows were recorded.
+    /// The satellites whose battery rows were recorded (each once after
+    /// [`EpochReadSet::normalize`]).
     pub fn battery_sats(&self) -> impl Iterator<Item = usize> + '_ {
         self.battery.iter().map(|&(s, _)| s)
     }
@@ -230,6 +225,11 @@ pub struct NetworkState {
     /// in O(1) instead of per cell; conservative — a commit on any edge of
     /// the slot invalidates it.
     slot_bandwidth_gen: Vec<u64>,
+    /// Per-satellite row generation: the epoch of the most recent mutation
+    /// that touched any deficit cell of the satellite's horizon row, i.e.
+    /// the newest epoch in its `battery_epoch` row. Unchanged iff the whole
+    /// row is.
+    battery_row_gen: Vec<u64>,
     /// Coarse battery generation: the epoch of the most recent mutation
     /// that touched any battery deficit cell of any satellite.
     battery_gen: u64,
@@ -265,6 +265,7 @@ impl NetworkState {
             bandwidth_epoch,
             battery_epoch,
             slot_bandwidth_gen,
+            battery_row_gen: vec![epoch; num_satellites],
             battery_gen: epoch,
             bookings: Vec::new(),
         }
@@ -313,8 +314,15 @@ impl NetworkState {
 
     /// Residual (unreserved) capacity on an edge at a slot, Mbps.
     pub fn residual_mbps(&self, slot: SlotIndex, edge: EdgeId) -> f64 {
-        let cap = self.series.snapshot(slot).edge(edge).capacity_mbps;
-        cap - self.reserved_mbps(slot, edge)
+        self.residual_of(slot, edge, self.series.snapshot(slot).capacity_mbps(edge))
+    }
+
+    /// [`Self::residual_mbps`] for a caller that already holds the edge's
+    /// capacity — a search relaxation has the [`sb_topology::graph::Edge`]
+    /// in hand — so nothing is looked up in the snapshot. Same bits.
+    #[inline]
+    pub fn residual_of(&self, slot: SlotIndex, edge: EdgeId, capacity_mbps: f64) -> f64 {
+        capacity_mbps - self.reserved_mbps(slot, edge)
     }
 
     /// Bandwidth utilization `λ_e(T) ∈ [0, 1]` (Eq. 8).
@@ -324,7 +332,13 @@ impl NetworkState {
     /// utilized when anything is booked on it (so pricing repels traffic)
     /// and as idle otherwise.
     pub fn utilization(&self, slot: SlotIndex, edge: EdgeId) -> f64 {
-        let cap = self.series.snapshot(slot).edge(edge).capacity_mbps;
+        self.utilization_of(slot, edge, self.series.snapshot(slot).capacity_mbps(edge))
+    }
+
+    /// [`Self::utilization`] for a caller that already holds the edge's
+    /// capacity (see [`Self::residual_of`]). Same bits.
+    #[inline]
+    pub fn utilization_of(&self, slot: SlotIndex, edge: EdgeId, cap: f64) -> f64 {
         if cap.is_nan() || cap <= 0.0 {
             return if self.reserved_mbps(slot, edge) > 0.0 { 1.0 } else { 0.0 };
         }
@@ -353,6 +367,14 @@ impl NetworkState {
     #[inline]
     pub fn battery_epoch(&self, sat: usize, t: usize) -> u64 {
         self.battery_epoch[self.ledger.flat_index(sat, t)]
+    }
+
+    /// Generation of satellite `sat`'s whole horizon row of deficit cells:
+    /// unchanged iff no [`Self::battery_epoch`] of the row moved. Same
+    /// epoch semantics, one value per satellite.
+    #[inline]
+    pub fn battery_row_gen(&self, sat: usize) -> u64 {
+        self.battery_row_gen[sat]
     }
 
     /// Coarse generation of `slot`'s whole bandwidth plane: unchanged iff
@@ -412,7 +434,7 @@ impl NetworkState {
         }
         for (&(slot, edge), &mbps) in &demand {
             if self.reserved_mbps(slot, edge) + mbps
-                > self.series.snapshot(slot).edge(edge).capacity_mbps + 1e-6
+                > self.series.snapshot(slot).capacity_mbps(edge) + 1e-6
             {
                 return Err(CommitError::BandwidthExceeded { slot, edge });
             }
@@ -451,6 +473,8 @@ impl NetworkState {
         }
         for i in delta.deficit_indices() {
             self.battery_epoch[i] = epoch;
+            // Flat ledger indices are satellite-major.
+            self.battery_row_gen[i / self.series.num_slots()] = epoch;
             self.battery_gen = epoch;
         }
         self.ledger.absorb(delta);
@@ -527,6 +551,7 @@ impl NetworkState {
         // epochs advance.
         for &sat in &released_sats {
             self.ledger.reset_satellite(sat);
+            self.battery_row_gen[sat] = epoch;
             self.battery_gen = epoch;
             for t in 0..self.horizon() {
                 self.battery_epoch[self.ledger.flat_index(sat, t)] = epoch;
@@ -544,7 +569,7 @@ impl NetworkState {
         // in `crate::audit` and run at slot boundaries).
         #[cfg(feature = "strict-audit")]
         for &(s, e) in &released_cells {
-            let cap = self.series.snapshot(s).edge(e).capacity_mbps;
+            let cap = self.series.snapshot(s).capacity_mbps(e);
             let reserved = self.reserved_mbps[s.index()][e.index()];
             assert!(
                 reserved >= 0.0 && reserved <= cap + 1e-6,
@@ -685,6 +710,7 @@ impl NetworkState {
             bandwidth_epoch,
             battery_epoch,
             slot_bandwidth_gen,
+            battery_row_gen: vec![epoch; num_satellites],
             battery_gen: epoch,
             bookings,
         })
@@ -710,6 +736,7 @@ impl NetworkState {
     pub fn debug_bump_battery_epoch(&mut self, sat: usize, t: usize) {
         let epoch = next_epoch();
         self.battery_epoch[self.ledger.flat_index(sat, t)] = epoch;
+        self.battery_row_gen[sat] = epoch;
         self.battery_gen = epoch;
     }
 
@@ -720,6 +747,7 @@ impl NetworkState {
     pub fn debug_ledger_mut(&mut self) -> &mut EnergyLedger {
         let epoch = next_epoch();
         self.battery_epoch.fill(epoch);
+        self.battery_row_gen.fill(epoch);
         self.battery_gen = epoch;
         &mut self.ledger
     }
@@ -731,14 +759,12 @@ impl NetworkState {
     /// in our directed representation is each direction independently
     /// halved.
     pub fn congested_link_count(&self, slot: SlotIndex, threshold_frac: f64) -> usize {
-        let snap = self.series.snapshot(slot);
-        let congested_directed = snap
-            .edges()
-            .enumerate()
-            .filter(|(idx, e)| {
-                let residual = e.capacity_mbps - self.reserved_mbps[slot.index()][*idx];
-                residual < threshold_frac * e.capacity_mbps
-            })
+        let congested_directed = self
+            .series
+            .snapshot(slot)
+            .capacities()
+            .zip(&self.reserved_mbps[slot.index()])
+            .filter(|&(capacity, reserved)| capacity - reserved < threshold_frac * capacity)
             .count();
         congested_directed.div_ceil(2)
     }
@@ -759,13 +785,20 @@ mod tests {
     use sb_orbit::walker::WalkerConstellation;
     use sb_topology::{NetworkNodes, NodeId, TopologyConfig, TopologySeries};
 
-    fn small_state() -> (NetworkState, NodeId, NodeId) {
+    /// A 12×12 shell with two nearby ground users, and the topology
+    /// configuration the small states are built with.
+    fn small_network() -> (NetworkNodes, TopologyConfig, NodeId, NodeId) {
         let shell = WalkerConstellation::delta(12, 12, 1, 550e3, 53f64.to_radians());
         let mut nodes = NetworkNodes::from_walker(&shell);
         let a = nodes.add_ground_site(Geodetic::from_degrees(35.8, -78.6, 0.0));
         let b = nodes.add_ground_site(Geodetic::from_degrees(40.7, -74.0, 0.0));
         let cfg =
             TopologyConfig { min_elevation_rad: 10f64.to_radians(), ..TopologyConfig::default() };
+        (nodes, cfg, a, b)
+    }
+
+    fn small_state() -> (NetworkState, NodeId, NodeId) {
+        let (nodes, cfg, a, b) = small_network();
         let series = TopologySeries::build(&nodes, &cfg, 3, 60.0);
         (NetworkState::new(series, &EnergyParams::default()), a, b)
     }
@@ -1172,6 +1205,48 @@ mod tests {
         let after: Vec<u64> =
             cells.iter().map(|&(s, e)| state.residual_mbps(s, e).to_bits()).collect();
         assert_eq!(before, after, "residuals differ after release + re-commit");
+    }
+
+    #[test]
+    fn capacity_reads_match_the_materialized_edge_bitwise() {
+        // residual_mbps / utilization read the capacity through
+        // `TopologySnapshot::capacity_mbps`; on both layouts that must be
+        // the bits `edge(id).capacity_mbps` gives.
+        let (split, src, dst) = small_state();
+        assert!(split.series().snapshot(SlotIndex(0)).is_split());
+        let (nodes, cfg, _, _) = small_network();
+        let dense = NetworkState::new(
+            TopologySeries::build_full(&nodes, &cfg, 3, 60.0),
+            &EnergyParams::default(),
+        );
+        assert!(!dense.series().snapshot(SlotIndex(0)).is_split());
+        for mut state in [split, dense] {
+            for seed in 0..40u64 {
+                if let Some(plan) = random_plan(&state, src, dst, seed) {
+                    let _ = state.try_commit_plan(&request(src, dst, 700.0), &plan);
+                }
+            }
+            assert!(state.booking_count() > 0, "nothing reserved: vacuous comparison");
+            for t in 0..state.horizon() {
+                let slot = SlotIndex(t as u32);
+                let snap = state.series().snapshot(slot);
+                for e in (0..snap.num_edges() as u32).map(EdgeId) {
+                    let cap = snap.edge(e).capacity_mbps;
+                    assert_eq!(
+                        state.residual_mbps(slot, e).to_bits(),
+                        (cap - state.reserved_mbps(slot, e)).to_bits(),
+                        "residual at {slot} edge {}",
+                        e.0
+                    );
+                    assert_eq!(
+                        state.utilization(slot, e).to_bits(),
+                        state.utilization_of(slot, e, cap).to_bits(),
+                        "utilization at {slot} edge {}",
+                        e.0
+                    );
+                }
+            }
+        }
     }
 
     /// One-slot state whose only edge has the given capacity.

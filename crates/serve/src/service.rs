@@ -324,9 +324,14 @@ impl AdmissionService {
         });
         let workers = (0..cfg.workers)
             .map(|_| {
+                // Built here, not on the worker: the price cache is the
+                // worker's one large allocation, and memory a short-lived
+                // thread allocates stays with that thread's malloc arena
+                // after the service is gone.
+                let cear = Cear::sized_for(cfg.params, &shared.state.read().unwrap());
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || {
-                    worker_loop(&shared);
+                    worker_loop(&shared, cear);
                     let mut q = shared.q.lock().unwrap();
                     q.live_workers -= 1;
                     shared.commit_cv.notify_all();
@@ -475,9 +480,9 @@ impl AdmissionService {
     }
 }
 
-/// One quote worker: pop → price under the read lock → stage.
-fn worker_loop(shared: &Arc<Shared>) {
-    let cear = Cear::new(shared.cfg.params);
+/// One quote worker: pop → price under the read lock (with the `cear` it
+/// was given) → stage.
+fn worker_loop(shared: &Arc<Shared>, cear: Cear) {
     loop {
         let job = {
             let mut q = shared.q.lock().unwrap();
@@ -725,7 +730,7 @@ impl Committer {
             ),
         };
         if let Err(e) = self.journal.append(&record) {
-            self.die(format!("WAL append failed: {e}"), job);
+            self.die(format!("WAL append failed: {e}"), Some(job));
             return false;
         }
         self.decided += 1;
@@ -782,23 +787,22 @@ impl Committer {
                 true
             }
             Err(e) => {
-                self.die_no_job(format!("checkpoint write failed: {e}"));
+                self.die(format!("checkpoint write failed: {e}"), None);
                 false
             }
         }
     }
 
-    fn die(&mut self, msg: String, job: Job) {
-        job.ack.resolve(Err(msg.clone()));
-        self.die_no_job(msg);
-    }
-
     /// Marks the service dead and resolves every outstanding ticket with
-    /// the failure, so no client blocks forever.
-    fn die_no_job(&mut self, msg: String) {
+    /// the failure, so no client blocks forever. `victim` is the job being
+    /// decided when the failure struck, whose ticket is no longer in the
+    /// queue. The service is marked dead under the queue lock *before* any
+    /// ticket resolves, so a client woken by its failed ticket already
+    /// reads `is_dead()`.
+    fn die(&mut self, msg: String, victim: Option<Job>) {
         let mut q = self.shared.q.lock().unwrap();
         q.dead = Some(msg.clone());
-        for job in q.pending.drain(..) {
+        for job in victim.into_iter().chain(q.pending.drain(..)) {
             job.ack.resolve(Err(msg.clone()));
         }
         for (_, staged) in std::mem::take(&mut q.staged) {

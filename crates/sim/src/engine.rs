@@ -915,6 +915,9 @@ impl EngineCore {
     /// Computes the run's metrics. Call after the horizon is complete and
     /// [`EngineCore::drain_final`] has run.
     pub fn finalize(self, algorithm: &dyn RoutingAlgorithm) -> RunMetrics {
+        // The run is over: its thread's baseline caches would otherwise
+        // keep the topology series and every tree alive behind it.
+        sb_cear::baselines::release_thread_caches();
         let EngineCore {
             scenario,
             state,
@@ -1128,6 +1131,31 @@ mod tests {
         let mut b = run(&scenario, &AlgorithmKind::Ssp, 3);
         b.processing_ms = a.processing_ms; // wall clock may differ
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_finished_run_releases_the_baseline_thread_caches() {
+        // SSP routes through the thread-local SPT cache, ECARS through the
+        // thread-local hop-bound geometry; both anchor on the series. A
+        // dedicated thread, so no other test's run shares the caches.
+        std::thread::spawn(|| {
+            let scenario = ScenarioConfig::tiny();
+            let prepared = prepare(&scenario, 3);
+            let requests = workload(&scenario, &prepared, 3);
+            let held = std::sync::Arc::strong_count(&prepared.series);
+            for kind in [AlgorithmKind::Ssp, AlgorithmKind::Ecars] {
+                let metrics = run_prepared(&scenario, &prepared, &requests, &kind, 3);
+                assert!(metrics.accepted_requests > 0, "{}: vacuous run", kind.name());
+                assert_eq!(
+                    std::sync::Arc::strong_count(&prepared.series),
+                    held,
+                    "{}: the finished run still pins its topology series",
+                    kind.name()
+                );
+            }
+        })
+        .join()
+        .expect("the run thread panicked");
     }
 
     #[test]

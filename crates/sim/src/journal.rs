@@ -61,7 +61,7 @@ use sb_demand::Request;
 use sb_wire::frame::{self, FrameStatus};
 use sb_wire::{Reader, WireError, Writer};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek, SeekFrom};
 use std::path::Path;
 
 /// Upper bound on a single record payload — far above any real record,
@@ -565,6 +565,7 @@ impl Journal {
 mod tests {
     use super::*;
     use sb_topology::{NodeId, SlotIndex};
+    use std::io::Write as _;
 
     fn sample_records() -> Vec<JournalRecord> {
         let request = Request {

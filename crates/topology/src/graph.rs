@@ -190,35 +190,134 @@ struct SplitData {
     /// dyn_offsets[n+1]` indexes `dyn_peers`.
     dyn_offsets: Vec<u32>,
     dyn_peers: Vec<NodeId>,
+    /// Prefix over nodes: `first_edge[v]` is the edge id of node `v`'s first
+    /// out-edge and `first_edge[n]` the slot's edge count, so the edge ids
+    /// of `v` are `first_edge[v] .. first_edge[v+1]`. Derived from the
+    /// fields above by [`TopologySnapshot::from_split`]; never shipped.
+    first_edge: Vec<u32>,
 }
 
 impl SplitData {
-    /// Number of removed template entries strictly below directed index `i`.
-    fn removed_below(&self, i: u32) -> u32 {
-        self.removed.partition_point(|&r| r < i) as u32
+    /// Builds the `first_edge` prefix by one merge pass over the sorted
+    /// `removed` list.
+    fn first_edge_prefix(core: &StaticCore, removed: &[u32], dyn_offsets: &[u32]) -> Vec<u32> {
+        // Removed entries below the current node's template block.
+        let mut below = 0usize;
+        core.tmpl_offsets
+            .iter()
+            .zip(dyn_offsets)
+            .map(|(&t_lo, &d_lo)| {
+                while below < removed.len() && removed[below] < t_lo {
+                    below += 1;
+                }
+                t_lo - below as u32 + d_lo
+            })
+            .collect()
     }
 
     fn is_removed(&self, i: u32) -> bool {
         self.removed.binary_search(&i).is_ok()
     }
 
-    /// Rank of directed template index `i` among *present* entries (also
-    /// valid for `i == tmpl_dst.len()`, giving the present total).
-    fn present_rank(&self, i: u32) -> u32 {
-        i - self.removed_below(i)
-    }
-
-    /// The edge id of node `v`'s first out-edge.
-    fn first_edge_id(&self, v: usize) -> u32 {
-        self.present_rank(self.core.tmpl_offsets[v]) + self.dyn_offsets[v]
-    }
-
     fn num_edges(&self) -> usize {
-        self.core.tmpl_dst.len() - self.removed.len() + self.dyn_peers.len()
+        self.first_edge[self.core.kinds.len()] as usize
     }
 
-    fn length(&self, a: NodeId, b: NodeId) -> f64 {
-        self.positions[a.index()].distance(self.positions[b.index()])
+    /// Where node `v`'s template block starts in `removed`: the number of
+    /// removed entries below `tmpl_offsets[v]`.
+    fn removed_start(&self, v: usize) -> usize {
+        (self.core.tmpl_offsets[v] - (self.first_edge[v] - self.dyn_offsets[v])) as usize
+    }
+
+    /// Number of node `v`'s template entries present at this slot.
+    fn present_isl(&self, v: usize) -> u32 {
+        (self.first_edge[v + 1] - self.first_edge[v])
+            - (self.dyn_offsets[v + 1] - self.dyn_offsets[v])
+    }
+
+    /// The source node of edge `id` and the edge's rank among that node's
+    /// out-edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    fn locate(&self, id: EdgeId) -> (usize, u32) {
+        assert!(id.index() < self.num_edges(), "edge id out of range");
+        // The last node whose first edge id is <= id: nodes without
+        // out-edges share their successor's first id and sort before it.
+        let n = self.core.kinds.len();
+        let v = self.first_edge[..n].partition_point(|&first| first <= id.0) - 1;
+        (v, id.0 - self.first_edge[v])
+    }
+
+    fn capacity_mbps(&self, id: EdgeId) -> f64 {
+        let (v, rank) = self.locate(id);
+        let link_type = if rank < self.present_isl(v) { LinkType::Isl } else { LinkType::Usl };
+        self.link_capacity_mbps(link_type)
+    }
+
+    fn link_capacity_mbps(&self, link_type: LinkType) -> f64 {
+        match link_type {
+            LinkType::Isl => self.core.isl_capacity_mbps,
+            LinkType::Usl => self.core.usl_capacity_mbps,
+        }
+    }
+
+    /// Node `v`'s template indices present at this slot, in template order.
+    fn present_template(&self, v: usize) -> PresentTemplate<'_> {
+        PresentTemplate {
+            removed: &self.removed[self.removed_start(v)..],
+            idx: self.core.tmpl_offsets[v],
+            end: self.core.tmpl_offsets[v + 1],
+        }
+    }
+
+    fn edge(&self, id: EdgeId) -> Edge {
+        let (v, rank) = self.locate(id);
+        let src = NodeId(v as u32);
+        let isl = self.present_isl(v);
+        if rank < isl {
+            let i = self
+                .present_template(v)
+                .nth(rank as usize)
+                .expect("rank is below the node's present template count");
+            self.make_edge(src, self.core.tmpl_dst[i as usize], LinkType::Isl)
+        } else {
+            let dst = self.dyn_peers[(self.dyn_offsets[v] + (rank - isl)) as usize];
+            self.make_edge(src, dst, LinkType::Usl)
+        }
+    }
+
+    fn make_edge(&self, src: NodeId, dst: NodeId, link_type: LinkType) -> Edge {
+        let capacity_mbps = self.link_capacity_mbps(link_type);
+        let length_m = self.positions[src.index()].distance(self.positions[dst.index()]);
+        Edge { src, dst, link_type, capacity_mbps, length_m }
+    }
+}
+
+/// One node's template indices that are not in the slot's `removed` list:
+/// the block is walked with a cursor into `removed` (both are sorted).
+struct PresentTemplate<'a> {
+    /// The tail of `removed` from the block's first possible entry.
+    removed: &'a [u32],
+    idx: u32,
+    end: u32,
+}
+
+impl Iterator for PresentTemplate<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        while self.idx < self.end {
+            let i = self.idx;
+            self.idx += 1;
+            if self.removed.first() == Some(&i) {
+                self.removed = &self.removed[1..];
+            } else {
+                return Some(i);
+            }
+        }
+        None
     }
 }
 
@@ -293,6 +392,7 @@ impl TopologySnapshot {
         debug_assert_eq!(sunlit.len(), n);
         debug_assert_eq!(dyn_offsets.len(), n + 1);
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "removed must be sorted");
+        let first_edge = SplitData::first_edge_prefix(&core, &removed, &dyn_offsets);
         TopologySnapshot {
             slot,
             storage: Storage::Split(SplitData {
@@ -302,6 +402,7 @@ impl TopologySnapshot {
                 removed,
                 dyn_offsets,
                 dyn_peers,
+                first_edge,
             }),
         }
     }
@@ -370,56 +471,44 @@ impl TopologySnapshot {
     pub fn edge(&self, id: EdgeId) -> Edge {
         match &self.storage {
             Storage::Dense(d) => d.edges[id.index()],
-            Storage::Split(s) => {
-                assert!(id.index() < s.num_edges(), "edge id out of range");
-                // Find the source node: the last v with first_edge_id(v) <= id.
-                let n = s.core.kinds.len();
-                let mut lo = 0usize;
-                let mut hi = n;
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if s.first_edge_id(mid) <= id.0 {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                let v = NodeId(lo as u32);
-                let offset = id.0 - s.first_edge_id(lo);
-                let t_lo = s.core.tmpl_offsets[lo];
-                let t_hi = s.core.tmpl_offsets[lo + 1];
-                let present_isl = s.present_rank(t_hi) - s.present_rank(t_lo);
-                if offset < present_isl {
-                    // The offset-th *present* template entry of this block.
-                    let mut rank = 0;
-                    for i in t_lo..t_hi {
-                        if s.is_removed(i) {
-                            continue;
-                        }
-                        if rank == offset {
-                            let dst = s.core.tmpl_dst[i as usize];
-                            return Edge {
-                                src: v,
-                                dst,
-                                link_type: LinkType::Isl,
-                                capacity_mbps: s.core.isl_capacity_mbps,
-                                length_m: s.length(v, dst),
-                            };
-                        }
-                        rank += 1;
-                    }
-                    unreachable!("present template entry not found");
-                }
-                let dst = s.dyn_peers[(s.dyn_offsets[lo] + (offset - present_isl)) as usize];
-                Edge {
-                    src: v,
-                    dst,
-                    link_type: LinkType::Usl,
-                    capacity_mbps: s.core.usl_capacity_mbps,
-                    length_m: s.length(v, dst),
-                }
-            }
+            Storage::Split(s) => s.edge(id),
         }
+    }
+
+    /// Capacity of the edge with the given id, Mbps — what
+    /// `self.edge(id).capacity_mbps` reads, without building the [`Edge`]
+    /// (a split snapshot recomputes an edge's length on access).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn capacity_mbps(&self, id: EdgeId) -> f64 {
+        match &self.storage {
+            Storage::Dense(d) => d.edges[id.index()].capacity_mbps,
+            Storage::Split(s) => s.capacity_mbps(id),
+        }
+    }
+
+    /// [`Self::capacity_mbps`] for a caller that already knows the edge's
+    /// link type: constant time in both layouts (a split snapshot's
+    /// capacities depend on the link type alone).
+    pub fn capacity_mbps_of(&self, id: EdgeId, link_type: LinkType) -> f64 {
+        debug_assert_eq!(self.edge(id).link_type, link_type, "wrong link type for edge {id:?}");
+        match &self.storage {
+            Storage::Dense(d) => d.edges[id.index()].capacity_mbps,
+            Storage::Split(s) => s.link_capacity_mbps(link_type),
+        }
+    }
+
+    /// The capacity of every edge in edge-id order, Mbps — what
+    /// `self.edges().map(|e| e.capacity_mbps)` yields, without building the
+    /// edges (a split snapshot recomputes an edge's length on access).
+    pub fn capacities(&self) -> Capacities<'_> {
+        let inner = match &self.storage {
+            Storage::Dense(d) => CapacitiesInner::Dense(d.edges.iter()),
+            Storage::Split(s) => CapacitiesInner::Split { data: s, next_node: 0, isl: 0, usl: 0 },
+        };
+        Capacities { inner }
     }
 
     /// All edges in edge-id order.
@@ -438,11 +527,10 @@ impl TopologySnapshot {
             Storage::Split(s) => OutEdgesInner::Split {
                 data: s,
                 src: node,
-                tmpl_idx: s.core.tmpl_offsets[node.index()],
-                tmpl_end: s.core.tmpl_offsets[node.index() + 1],
+                tmpl: s.present_template(node.index()),
                 dyn_idx: s.dyn_offsets[node.index()],
                 dyn_end: s.dyn_offsets[node.index() + 1],
-                next_id: s.first_edge_id(node.index()),
+                next_id: s.first_edge[node.index()],
             },
         };
         OutEdges { inner }
@@ -455,10 +543,7 @@ impl TopologySnapshot {
                 (d.adj_offsets[node.index() + 1] - d.adj_offsets[node.index()]) as usize
             }
             Storage::Split(s) => {
-                let t_lo = s.core.tmpl_offsets[node.index()];
-                let t_hi = s.core.tmpl_offsets[node.index() + 1];
-                let isl = (s.present_rank(t_hi) - s.present_rank(t_lo)) as usize;
-                isl + (s.dyn_offsets[node.index() + 1] - s.dyn_offsets[node.index()]) as usize
+                (s.first_edge[node.index() + 1] - s.first_edge[node.index()]) as usize
             }
         }
     }
@@ -470,7 +555,7 @@ impl TopologySnapshot {
 
     /// Total capacity (Mbps) of all directed edges — a sanity metric.
     pub fn total_capacity_mbps(&self) -> f64 {
-        self.edges().map(|e| e.capacity_mbps).sum()
+        self.capacities().sum()
     }
 
     /// `true` when this snapshot uses the shared-structure (split) layout.
@@ -496,6 +581,7 @@ impl TopologySnapshot {
                     + s.removed.len() * 4
                     + s.dyn_offsets.len() * 4
                     + s.dyn_peers.len() * 4
+                    + s.first_edge.len() * 4
             }
         }
     }
@@ -584,6 +670,51 @@ impl PartialEq for TopologySnapshot {
     }
 }
 
+/// Iterator over every edge's capacity; see
+/// [`TopologySnapshot::capacities`].
+pub struct Capacities<'a> {
+    inner: CapacitiesInner<'a>,
+}
+
+enum CapacitiesInner<'a> {
+    Dense(core::slice::Iter<'a, Edge>),
+    /// `isl` then `usl` capacities are still owed for the node before
+    /// `next_node`.
+    Split {
+        data: &'a SplitData,
+        next_node: usize,
+        isl: u32,
+        usl: u32,
+    },
+}
+
+impl Iterator for Capacities<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        match &mut self.inner {
+            CapacitiesInner::Dense(edges) => edges.next().map(|e| e.capacity_mbps),
+            CapacitiesInner::Split { data, next_node, isl, usl } => loop {
+                if *isl > 0 {
+                    *isl -= 1;
+                    return Some(data.core.isl_capacity_mbps);
+                }
+                if *usl > 0 {
+                    *usl -= 1;
+                    return Some(data.core.usl_capacity_mbps);
+                }
+                let v = *next_node;
+                if v == data.core.kinds.len() {
+                    return None;
+                }
+                *next_node += 1;
+                *isl = data.present_isl(v);
+                *usl = data.dyn_offsets[v + 1] - data.dyn_offsets[v];
+            },
+        }
+    }
+}
+
 /// Iterator over a node's out-edges; see
 /// [`TopologySnapshot::out_edges`].
 pub struct OutEdges<'a> {
@@ -599,8 +730,7 @@ enum OutEdgesInner<'a> {
     Split {
         data: &'a SplitData,
         src: NodeId,
-        tmpl_idx: u32,
-        tmpl_end: u32,
+        tmpl: PresentTemplate<'a>,
         dyn_idx: u32,
         dyn_end: u32,
         next_id: u32,
@@ -622,44 +752,18 @@ impl Iterator for OutEdges<'_> {
                     None
                 }
             }
-            OutEdgesInner::Split { data, src, tmpl_idx, tmpl_end, dyn_idx, dyn_end, next_id } => {
-                while tmpl_idx < tmpl_end {
-                    let i = *tmpl_idx;
-                    *tmpl_idx += 1;
-                    if data.is_removed(i) {
-                        continue;
-                    }
-                    let dst = data.core.tmpl_dst[i as usize];
-                    let id = EdgeId(*next_id);
-                    *next_id += 1;
-                    return Some((
-                        id,
-                        Edge {
-                            src: *src,
-                            dst,
-                            link_type: LinkType::Isl,
-                            capacity_mbps: data.core.isl_capacity_mbps,
-                            length_m: data.length(*src, dst),
-                        },
-                    ));
-                }
-                if dyn_idx < dyn_end {
-                    let dst = data.dyn_peers[*dyn_idx as usize];
+            OutEdgesInner::Split { data, src, tmpl, dyn_idx, dyn_end, next_id } => {
+                let (dst, link_type) = if let Some(i) = tmpl.next() {
+                    (data.core.tmpl_dst[i as usize], LinkType::Isl)
+                } else if dyn_idx < dyn_end {
                     *dyn_idx += 1;
-                    let id = EdgeId(*next_id);
-                    *next_id += 1;
-                    return Some((
-                        id,
-                        Edge {
-                            src: *src,
-                            dst,
-                            link_type: LinkType::Usl,
-                            capacity_mbps: data.core.usl_capacity_mbps,
-                            length_m: data.length(*src, dst),
-                        },
-                    ));
-                }
-                None
+                    (data.dyn_peers[*dyn_idx as usize - 1], LinkType::Usl)
+                } else {
+                    return None;
+                };
+                let id = EdgeId(*next_id);
+                *next_id += 1;
+                Some((id, data.make_edge(*src, dst, link_type)))
             }
         }
     }
@@ -668,7 +772,9 @@ impl Iterator for OutEdges<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{core_from_pairs, materialize_split, SlotState};
     use crate::SlotIndex;
+    use proptest::prelude::*;
     use sb_geo::Vec3;
 
     fn tiny() -> TopologySnapshot {
@@ -769,5 +875,191 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert!(!g.is_sunlit(NodeId(1)));
         assert_eq!(g.slot(), SlotIndex(1));
+    }
+
+    // ---- split layout vs `from_edges` of the same graph ----
+
+    const SATS: u32 = 6;
+    /// Undirected template pairs over satellites 1..=5; satellite 0 has no
+    /// template entry (a node without out-edges at the start).
+    const PAIRS: [(u32, u32); 6] = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)];
+    /// Candidate USL links `(user ordinal, satellite)`, selected by bit mask;
+    /// the third user never sees a satellite (no out-edges at the end).
+    const USL: [(usize, u32); 5] = [(0, 1), (0, 2), (1, 4), (1, 5), (0, 4)];
+    const USERS: usize = 3;
+
+    /// One hand-built graph in both layouts: template pair `q` is absent
+    /// when bit `q` of `removed_pairs` is set, USL candidate `k` present
+    /// when bit `k` of `usl` is set, and `down` (if any) loses every edge —
+    /// through `split_filtered` on the split side.
+    fn both_layouts(
+        removed_pairs: u32,
+        usl: u32,
+        down: Option<NodeId>,
+    ) -> (TopologySnapshot, TopologySnapshot) {
+        let n = SATS as usize + USERS;
+        let mut kinds: Vec<NodeKind> = (0..SATS as usize).map(NodeKind::Satellite).collect();
+        kinds.extend((0..USERS).map(NodeKind::GroundUser));
+        let positions: Vec<Eci> = (0..n)
+            .map(|i| {
+                Eci(Vec3::new(1.0e6 * i as f64, 3.0e5 * (i * i) as f64, 7.0e4 * (i % 3) as f64))
+            })
+            .collect();
+        let sunlit: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
+        let (isl_cap, usl_cap) = (20_000.0, 4_000.0);
+        let pair_nodes: Vec<(NodeId, NodeId)> =
+            PAIRS.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
+        let pair_gone = |q: usize| removed_pairs >> q & 1 == 1;
+        let mut user_lists = vec![Vec::new(); USERS];
+        for (k, &(u, sat)) in USL.iter().enumerate() {
+            if usl >> k & 1 == 1 {
+                user_lists[u].push(sat);
+            }
+        }
+
+        let core = Arc::new(core_from_pairs(kinds.clone(), pair_nodes.clone(), isl_cap, usl_cap));
+        let mut blocked: Vec<u32> =
+            (0..PAIRS.len()).filter(|&q| pair_gone(q)).flat_map(|q| core.pair_dirs[q]).collect();
+        blocked.sort_unstable();
+        let state = SlotState {
+            slot: 2,
+            positions: positions.clone(),
+            sunlit: sunlit.clone(),
+            blocked,
+            user_lists: user_lists.clone(),
+        };
+        let mut split = materialize_split(&core, SATS as usize, &state);
+        if let Some(d) = down {
+            if let Some(filtered) = split.split_filtered(|_, _| false, |v| v == d) {
+                split = filtered;
+            }
+        }
+        assert!(split.is_split());
+
+        // The dense push order: per present pair both directions, then per
+        // user and visible satellite both directions.
+        let mut edges = Vec::new();
+        let mut push = |src: NodeId, dst: NodeId, link_type, capacity_mbps| {
+            if Some(src) == down || Some(dst) == down {
+                return;
+            }
+            let length_m = positions[src.index()].distance(positions[dst.index()]);
+            edges.push(Edge { src, dst, link_type, capacity_mbps, length_m });
+        };
+        for (q, &(a, b)) in pair_nodes.iter().enumerate() {
+            if !pair_gone(q) {
+                push(a, b, LinkType::Isl, isl_cap);
+                push(b, a, LinkType::Isl, isl_cap);
+            }
+        }
+        for (u, list) in user_lists.iter().enumerate() {
+            let user = NodeId(SATS + u as u32);
+            for &sat in list {
+                push(user, NodeId(sat), LinkType::Usl, usl_cap);
+                push(NodeId(sat), user, LinkType::Usl, usl_cap);
+            }
+        }
+        let dense = TopologySnapshot::from_edges(SlotIndex(2), kinds, positions, sunlit, edges);
+        (split, dense)
+    }
+
+    fn edge_bits(e: Edge) -> (NodeId, NodeId, LinkType, u64, u64) {
+        (e.src, e.dst, e.link_type, e.capacity_mbps.to_bits(), e.length_m.to_bits())
+    }
+
+    /// Every id- and node-addressed accessor answers the same in both
+    /// layouts, bit for bit.
+    fn assert_layouts_agree(removed_pairs: u32, usl: u32, down: Option<NodeId>) {
+        let (split, dense) = both_layouts(removed_pairs, usl, down);
+        let case = format!("removed={removed_pairs:#b} usl={usl:#b} down={down:?}");
+        assert_eq!(split.num_edges(), dense.num_edges(), "{case}");
+        for id in (0..dense.num_edges() as u32).map(EdgeId) {
+            assert_eq!(edge_bits(split.edge(id)), edge_bits(dense.edge(id)), "{case} edge {id:?}");
+            assert_eq!(
+                split.capacity_mbps(id).to_bits(),
+                dense.edge(id).capacity_mbps.to_bits(),
+                "{case} capacity {id:?}"
+            );
+            assert_eq!(dense.capacity_mbps(id).to_bits(), dense.edge(id).capacity_mbps.to_bits());
+            let link_type = dense.edge(id).link_type;
+            for g in [&split, &dense] {
+                assert_eq!(
+                    g.capacity_mbps_of(id, link_type).to_bits(),
+                    dense.edge(id).capacity_mbps.to_bits()
+                );
+            }
+        }
+        let bits = |g: &TopologySnapshot| g.capacities().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&split), bits(&dense), "{case} capacities");
+        assert_eq!(
+            bits(&dense),
+            dense.edges().map(|e| e.capacity_mbps.to_bits()).collect::<Vec<_>>()
+        );
+        for v in (0..dense.num_nodes() as u32).map(NodeId) {
+            let walk = |g: &TopologySnapshot| -> Vec<_> {
+                g.out_edges(v).map(|(id, e)| (id, edge_bits(e))).collect()
+            };
+            assert_eq!(walk(&split), walk(&dense), "{case} out_edges {v}");
+            assert_eq!(split.out_degree(v), dense.out_degree(v), "{case} out_degree {v}");
+            for w in (0..dense.num_nodes() as u32).map(NodeId) {
+                assert_eq!(split.find_edge(v, w), dense.find_edge(v, w), "{case} {v}->{w}");
+            }
+        }
+        assert_eq!(split, dense, "{case}");
+    }
+
+    #[test]
+    fn split_accessors_match_dense_on_chosen_removed_sets() {
+        let all_usl = (1 << USL.len()) - 1;
+        let core = core_from_pairs(
+            vec![NodeKind::Satellite(0); SATS as usize],
+            PAIRS.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect(),
+            1.0,
+            1.0,
+        );
+        let last_dir = core.tmpl_dst.len() as u32 - 1;
+        let pair_holding =
+            |dir: u32| core.pair_dirs.iter().position(|d| d.contains(&dir)).unwrap() as u32;
+        // Satellite 3's whole template block: pairs (2,3), (3,4), (1,3).
+        // With no USL on it either, a node without out-edges in the middle.
+        let block_of_3 = 0b100110;
+        for removed in [
+            0,
+            block_of_3,
+            1 << pair_holding(0),
+            1 << pair_holding(last_dir),
+            1 << pair_holding(0) | 1 << pair_holding(last_dir),
+            (1 << PAIRS.len()) - 1,
+        ] {
+            for usl in [0, all_usl, 0b00101] {
+                assert_layouts_agree(removed, usl, None);
+            }
+        }
+        // A node outage through `split_filtered`: a relay with ISLs and
+        // USLs, an endpoint of the first template entry, and a user.
+        for down in [NodeId(4), NodeId(1), NodeId(SATS)] {
+            assert_layouts_agree(0, all_usl, Some(down));
+            assert_layouts_agree(block_of_3, all_usl, Some(down));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "edge id out of range")]
+    fn split_rejects_an_out_of_range_edge_id() {
+        let (split, _) = both_layouts(0, 0b11111, None);
+        let _ = split.capacity_mbps(EdgeId(split.num_edges() as u32));
+    }
+
+    proptest! {
+        #[test]
+        fn prop_split_accessors_match_dense(
+            removed in 0u32..64,
+            usl in 0u32..32,
+            down in 0u32..18,
+        ) {
+            // Half of the cases take a node down (satellite or user).
+            let down = (down < SATS + USERS as u32).then_some(NodeId(down));
+            assert_layouts_agree(removed, usl, down);
+        }
     }
 }
