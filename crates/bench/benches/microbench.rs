@@ -155,14 +155,11 @@ fn bench_search_arena(c: &mut Criterion) {
 }
 
 fn bench_search_kernels(c: &mut Criterion) {
-    // The three bit-identical search kernels on one 256-sat snapshot:
-    // plain Dijkstra, goal-directed A\* under the hop-bound heuristic, and
-    // a `path_via_tree` read of a pre-settled tree (the SPT-cache hit
-    // path). Weight ≥ 1 per edge, so BFS hop counts × 0.999 are an
-    // admissible, consistent heuristic.
-    use sb_cear::search::{
-        min_cost_path_in, min_cost_path_with, path_via_tree, settle_tree_in, HopBoundHeuristic,
-    };
+    // The two bit-identical search kernels on one 256-sat snapshot: plain
+    // Dijkstra and goal-directed A\* under the hop-bound heuristic.
+    // Weight ≥ 1 per edge, so BFS hop counts × 0.999 are an admissible,
+    // consistent heuristic.
+    use sb_cear::search::{min_cost_path_in, min_cost_path_with, HopBoundHeuristic};
     let (state, src, dst) = network();
     let snap = state.series().snapshot(SlotIndex(0));
     let weight = |ctx: &sb_cear::search::EdgeContext<'_>| Some(1.0 + ctx.edge.length_m * 1e-9);
@@ -194,10 +191,6 @@ fn bench_search_kernels(c: &mut Criterion) {
     let heuristic = HopBoundHeuristic { hops_lb: &hops, unit: 0.999 };
     c.bench_function("search_kernel_astar_256sats", |b| {
         b.iter(|| min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight))
-    });
-    let tree = settle_tree_in(&mut scratch, snap, src, weight);
-    c.bench_function("search_kernel_tree_read_256sats", |b| {
-        b.iter(|| path_via_tree(&tree, snap, src, dst, weight))
     });
 }
 
@@ -281,28 +274,6 @@ fn bench_single_slot_admission(c: &mut Criterion) {
     });
 }
 
-fn bench_parallel_quote(c: &mut Criterion) {
-    // The speculative slot-parallel quote vs the serial chain on a
-    // 10-slot request (quotes only — no commit — so one state serves
-    // every iteration). Both variants return bit-identical results; the
-    // benchmark measures what the parallelism buys.
-    let (state, src, dst) = network();
-    let request = Request {
-        id: RequestId(0),
-        source: src,
-        destination: dst,
-        rate: RateProfile::Constant(1250.0),
-        start: SlotIndex(0),
-        end: SlotIndex(9),
-        valuation: 2.3e9,
-    };
-    let serial = Cear::new(CearParams::default());
-    c.bench_function("quote_10slot_serial", |b| b.iter(|| serial.quote(&request, &state)));
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let parallel = Cear::new(CearParams::default()).with_quote_threads(threads);
-    c.bench_function("quote_10slot_parallel", |b| b.iter(|| parallel.quote(&request, &state)));
-}
-
 /// The same graph in the dense layout, rebuilt through the public API.
 fn dense_twin(split: &TopologySnapshot) -> TopologySnapshot {
     let nodes = (0..split.num_nodes() as u32).map(NodeId);
@@ -358,7 +329,6 @@ criterion_group! {
               bench_tiny_end_to_end, bench_ground_grid, bench_tle_parse,
               bench_coverage, bench_failure_injection, bench_search_arena,
               bench_search_kernels, bench_quote_search_kinds,
-              bench_price_cache, bench_single_slot_admission, bench_parallel_quote,
-              bench_snapshot_lookup
+              bench_price_cache, bench_single_slot_admission, bench_snapshot_lookup
 }
 criterion_main!(benches);

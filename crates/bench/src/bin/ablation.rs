@@ -11,9 +11,8 @@
 //!
 //! Supports `--checkpoint-every N` (durable runs under `OUT/durable/`)
 //! and `--resume DIR` to continue an interrupted sweep; see the
-//! robustness binary for the workflow. `--jobs N` and `--quote-threads N`
-//! parallelize across sweep cells and within each CEAR admission
-//! respectively, byte-identically.
+//! robustness binary for the workflow. `--jobs N` parallelizes across sweep
+//! cells, byte-identically.
 
 use sb_bench::{parse_args, prepared_cache, report_cache, run_cell, run_cells};
 use sb_cear::AblationFlags;

@@ -9,8 +9,6 @@
 //! cargo run -p sb-bench --release --bin fig6 -- --fleet 4      # processes
 //! ```
 //!
-//! `--quote-threads N` additionally parallelizes each CEAR admission
-//! across its slots (bit-identical outputs; see `sb_cear::parquote`), and
 //! `--build-threads N` parallelizes each per-slot topology build. The
 //! shared prepared-network cache gives the five algorithm cells (and, here,
 //! every rate) of one seed a single topology build; `SB_NO_PREPARE_CACHE=1`

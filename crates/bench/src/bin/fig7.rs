@@ -6,8 +6,7 @@
 //! cargo run -p sb-bench --release --bin fig7 -- --scale fast
 //! ```
 //!
-//! `--jobs N` fans sweep cells across workers, `--quote-threads N`
-//! parallelizes each CEAR admission across its slots, `--build-threads N`
+//! `--jobs N` fans sweep cells across workers, `--build-threads N`
 //! parallelizes the topology build, and the prepared-network cache shares
 //! one build across all ten cells (both subfigures differ only in load).
 //! Outputs are byte-identical for every knob.

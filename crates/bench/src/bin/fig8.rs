@@ -5,8 +5,7 @@
 //! cargo run -p sb-bench --release --bin fig8 -- --scale fast
 //! ```
 //!
-//! `--jobs N` fans sweep cells across workers, `--quote-threads N`
-//! parallelizes each CEAR admission across its slots, `--build-threads N`
+//! `--jobs N` fans sweep cells across workers, `--build-threads N`
 //! parallelizes the topology build, and the prepared-network cache shares
 //! one build across the five algorithm cells. Outputs are byte-identical
 //! for every knob.

@@ -5,8 +5,7 @@
 //! cargo run -p sb-bench --release --bin fig9 -- --scale fast
 //! ```
 //!
-//! `--jobs N` fans sweep cells across workers, `--quote-threads N`
-//! parallelizes each CEAR admission across its slots, `--build-threads N`
+//! `--jobs N` fans sweep cells across workers, `--build-threads N`
 //! parallelizes the topology build, and the prepared-network cache gives
 //! each seed a single build across both sweeps (valuation and `F₂` are
 //! workload/pricing knobs, invisible to `prepare`). Outputs are

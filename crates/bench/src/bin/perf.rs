@@ -1,7 +1,6 @@
 //! Performance measurement harness: times the sweep runner serially and in
-//! parallel, the speculative slot-parallel admission quote, plus the two
-//! hot-path micro-kernels (search arena, price cache), and emits
-//! machine-readable `BENCH_perf.json`.
+//! parallel, plus the two hot-path micro-kernels (search arena, price
+//! cache), and emits machine-readable `BENCH_perf.json`.
 //!
 //! ```text
 //! cargo run -p sb-bench --release --bin perf -- --scale fast --jobs 4
@@ -10,13 +9,10 @@
 //! The sweep section runs the fig6-style (algorithm × seed) grid once with
 //! one worker and once with `--jobs` workers, asserting the two result
 //! vectors are bit-identical (the parallel runner's determinism contract)
-//! before reporting the speedup. The quote section times a multi-slot CEAR
-//! admission quote serially and with `--quote-threads` workers (defaulting
-//! to the host parallelism when the flag is absent), asserts bitwise
-//! equality, and reports the speculation hit rate. The micro section
-//! measures the per-slot path search with and without the reusable
-//! [`sb_cear::SearchScratch`] arena, and the exponential unit price via
-//! `powf` against the epoch-validated [`sb_cear::PriceCache`].
+//! before reporting the speedup. The micro section measures the per-slot
+//! path search with and without the reusable [`sb_cear::SearchScratch`]
+//! arena, and the exponential unit price via `powf` against the
+//! epoch-validated [`sb_cear::PriceCache`].
 //!
 //! The topology section times `engine::prepare` with a serial and a
 //! `--build-threads`-wide parallel series build (asserting the two are
@@ -24,29 +20,23 @@
 //! the sweep grid against the shared [`sb_sim::PreparedCache`] to report
 //! its hit/miss tally.
 //!
-//! The search section compares the admission kernels three ways: raw
-//! per-slot search (Dijkstra vs goal-directed A\* vs a cached settled-tree
-//! read), full CEAR quotes under each kernel (asserted bit-identical, with
-//! per-kernel [`sb_cear::SearchStats`] work counters), and the SPT cache
-//! tallies both for the quote loop and across one serial pass of the
-//! sweep grid. The scaling section reruns the sweep grid at fixed worker
-//! counts (1, 2, 4, 8, 16) against pre-built networks, reporting cells/s
-//! per point and flagging points that oversubscribe the host.
+//! The search section compares the admission kernels two ways: raw
+//! per-slot search (Dijkstra vs goal-directed A\*) and full multi-slot
+//! CEAR quotes under each kernel (asserted bit-identical, with per-kernel
+//! [`sb_cear::SearchStats`] work counters). The scaling section reruns the
+//! sweep grid at fixed worker counts (1, 2, 4, 8, 16) against pre-built
+//! networks, reporting cells/s per point and flagging points that
+//! oversubscribe the host.
 //!
-//! The report carries the host's available parallelism alongside `--jobs`,
-//! `--quote-threads` and `--build-threads`, so a disappointing speedup
-//! measured on a 1-core container is machine-readably distinguishable from
-//! a real regression.
+//! The report carries the host's available parallelism alongside `--jobs`
+//! and `--build-threads`, so a disappointing speedup measured on a 1-core
+//! container is machine-readably distinguishable from a real regression.
 
 use sb_bench::{parse_args, run_cells};
 use sb_cear::search::{
-    min_cost_path, min_cost_path_in, min_cost_path_with, path_via_tree, settle_tree_in,
-    EdgeContext, HopBoundHeuristic,
+    min_cost_path, min_cost_path_in, min_cost_path_with, EdgeContext, HopBoundHeuristic,
 };
-use sb_cear::{
-    global_spt_stats, pricing, reset_global_spt_stats, Cear, CearParams, NetworkState, PriceCache,
-    SearchKind, SearchScratch,
-};
+use sb_cear::{pricing, Cear, CearParams, NetworkState, PriceCache, SearchKind, SearchScratch};
 use sb_demand::{RateProfile, Request, RequestId};
 use sb_energy::EnergyParams;
 use sb_geo::coords::Geodetic;
@@ -106,14 +96,9 @@ fn main() {
         engine::run_prepared(&scenario, &prepared, &requests, kind, *seed)
     };
     eprintln!("sweep: {} cells, serial pass…", cells.len());
-    reset_global_spt_stats();
     let t = Instant::now();
     let serial = run_cells(1, &cells, run);
     let serial_s = t.elapsed().as_secs_f64();
-    // One clean pass of the fig6-style grid through the default A*+SPT
-    // kernel: the process-wide tallies tell us how often the admission
-    // searches reused a cached tree across the whole sweep.
-    let sweep_spt = global_spt_stats();
     eprintln!("sweep: parallel pass with {} workers…", opts.jobs);
     let t = Instant::now();
     let parallel = run_cells(opts.jobs, &cells, run);
@@ -161,11 +146,12 @@ fn main() {
         scaling.push((jobs, wall_s, cells_per_s, overcommitted));
     }
 
-    // ---- Quote: serial vs speculative slot-parallel admission ----------
-    // A 12-slot horizon gives the quote 12 per-slot searches to fan out;
-    // one committed reservation makes the quoted state non-trivial.
-    let quote_threads =
-        if opts.quote_threads > 1 { opts.quote_threads } else { sb_bench::default_jobs() };
+    // ---- Quote: reference Dijkstra vs goal-directed A* ------------------
+    // A 12-slot horizon gives each quote 12 per-slot searches; one
+    // committed reservation makes the quoted state non-trivial. Same
+    // request stream, same state — only the search kernel differs. The
+    // quotes must agree bit for bit; the timing and the per-kernel search
+    // counters quantify what goal direction buys inside a real admission.
     let (mut qstate, qsrc, qdst) = micro_network(12);
     let params = CearParams::default();
     let mk_request = |id: u32, rate: f64| Request {
@@ -177,13 +163,6 @@ fn main() {
         end: SlotIndex(11),
         valuation: f64::MAX,
     };
-    // Rates are kept solar-covered (consumption within each slot's
-    // harvest): that is the regime where speculation validates — a slot
-    // that draws on the battery propagates into later slots' solar
-    // budget, so the request's own earlier commits would perturb every
-    // later deficit trace and force the serial fallback. That divergence
-    // regime is covered by the parquote property tests; here we measure
-    // what the parallel phase buys when it validates.
     {
         use sb_cear::RoutingAlgorithm;
         let mut warm = Cear::new(params);
@@ -192,47 +171,6 @@ fn main() {
     let quote_requests: Vec<Request> =
         (0..16).map(|id| mk_request(100 + id, 10.0 + 2.0 * id as f64)).collect();
     let quote_passes = 12u32;
-    let serial_cear = Cear::new(params);
-    let t = Instant::now();
-    let mut serial_quotes = Vec::new();
-    for _ in 0..quote_passes {
-        serial_quotes.clear();
-        for r in &quote_requests {
-            serial_quotes.push(black_box(serial_cear.quote(r, &qstate)));
-        }
-    }
-    let quote_serial_us =
-        t.elapsed().as_secs_f64() * 1e6 / (quote_passes as usize * quote_requests.len()) as f64;
-    let parallel_cear = Cear::new(params).with_quote_threads(quote_threads);
-    let t = Instant::now();
-    let mut parallel_quotes = Vec::new();
-    for _ in 0..quote_passes {
-        parallel_quotes.clear();
-        for r in &quote_requests {
-            parallel_quotes.push(black_box(parallel_cear.quote(r, &qstate)));
-        }
-    }
-    let quote_parallel_us =
-        t.elapsed().as_secs_f64() * 1e6 / (quote_passes as usize * quote_requests.len()) as f64;
-    let quote_deterministic =
-        serial_quotes.iter().zip(&parallel_quotes).all(|(a, b)| match (a, b) {
-            (Ok((pa, qa)), Ok((pb, qb))) => pa == pb && qa.to_bits() == qb.to_bits(),
-            (a, b) => a == b,
-        });
-    assert!(quote_deterministic, "speculative quote diverged from the serial path");
-    let quote_stats = parallel_cear.quote_stats();
-    let quote_speedup = quote_serial_us / quote_parallel_us;
-    eprintln!(
-        "quote: serial {quote_serial_us:.1}µs, {quote_threads}-thread {quote_parallel_us:.1}µs, \
-         speedup {quote_speedup:.2}x, hit rate {:.3}",
-        quote_stats.hit_rate()
-    );
-
-    // ---- Quote: reference Dijkstra vs goal-directed A* + SPT -----------
-    // Same request stream, same state, serial quoting — only the search
-    // kernel differs. The quotes must agree bit for bit; the timing and
-    // the per-kernel search counters quantify what goal direction and
-    // tree reuse buy inside a real admission.
     let reference_cear = Cear::new(params).with_search(SearchKind::Reference);
     let t = Instant::now();
     let mut reference_quotes = Vec::new();
@@ -261,53 +199,11 @@ fn main() {
     });
     assert!(kernels_agree, "A* quote diverged from the reference kernel");
     let reference_search = reference_cear.quote_stats().search;
-    let astar_all = astar_cear.quote_stats();
-    let (astar_search, astar_spt) = (astar_all.search, astar_all.spt);
+    let astar_search = astar_cear.quote_stats().search;
     let quote_search_speedup = quote_reference_us / quote_astar_us;
     eprintln!(
         "search quote: reference {quote_reference_us:.1}µs, astar {quote_astar_us:.1}µs, \
-         speedup {quote_search_speedup:.2}x, spt hit rate {:.3}",
-        astar_spt.hit_rate()
-    );
-
-    // Re-quoting one request against an unchanged state (the online
-    // service's conflict-retry pattern) is where the SPT cache engages:
-    // the interleaved rates above keep it at the promotion gate, but a
-    // repeated identical quote promotes after two sightings and every
-    // later per-slot search is a cached tree read.
-    let repeat_request = mk_request(999, 21.0);
-    let repeats = 64u32;
-    let repeat_reference = Cear::new(params).with_search(SearchKind::Reference);
-    let repeat_astar = Cear::new(params);
-    for cear in [&repeat_reference, &repeat_astar] {
-        for _ in 0..2 {
-            let _ = black_box(cear.quote(&repeat_request, &qstate));
-        }
-    }
-    let t = Instant::now();
-    for _ in 0..repeats {
-        let _ = black_box(repeat_reference.quote(&repeat_request, &qstate));
-    }
-    let repeat_reference_us = t.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-    let t = Instant::now();
-    for _ in 0..repeats {
-        let _ = black_box(repeat_astar.quote(&repeat_request, &qstate));
-    }
-    let repeat_astar_us = t.elapsed().as_secs_f64() * 1e6 / repeats as f64;
-    let repeat_agree = match (
-        repeat_reference.quote(&repeat_request, &qstate),
-        repeat_astar.quote(&repeat_request, &qstate),
-    ) {
-        (Ok((pa, qa)), Ok((pb, qb))) => pa == pb && qa.to_bits() == qb.to_bits(),
-        (a, b) => a == b,
-    };
-    assert!(repeat_agree, "cached-tree repeat quote diverged from the reference kernel");
-    let repeat_spt = repeat_astar.quote_stats().spt;
-    let repeat_speedup = repeat_reference_us / repeat_astar_us;
-    eprintln!(
-        "search repeat quote: reference {repeat_reference_us:.1}µs, astar+spt \
-         {repeat_astar_us:.1}µs, speedup {repeat_speedup:.2}x, spt hit rate {:.3}",
-        repeat_spt.hit_rate()
+         speedup {quote_search_speedup:.2}x"
     );
 
     // ---- Micro: per-slot search, fresh allocation vs reused arena ------
@@ -329,7 +225,7 @@ fn main() {
     let scratch_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
     eprintln!("search: fresh {fresh_us:.1}µs, arena {scratch_us:.1}µs");
 
-    // ---- Micro: search kernels — Dijkstra vs A* vs settled tree --------
+    // ---- Micro: search kernels — Dijkstra vs A* ------------------------
     // An undirected BFS from the destination yields an admissible hop
     // lower bound for this raw-kernel comparison (the engine derives its
     // bounds from geometry; any valid bound drives the same machinery).
@@ -364,23 +260,10 @@ fn main() {
         black_box(min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight));
     }
     let astar_kernel_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    let tree = settle_tree_in(&mut scratch, snap, src, weight);
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(path_via_tree(&tree, snap, src, dst, weight));
-    }
-    let tree_kernel_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
     let reference_found = min_cost_path_in(&mut scratch, snap, src, dst, weight);
     let astar_found = min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight);
-    let tree_found = path_via_tree(&tree, snap, src, dst, weight);
-    assert!(
-        reference_found == astar_found && astar_found == tree_found,
-        "search kernels disagree on the micro network"
-    );
-    eprintln!(
-        "search kernels: dijkstra {scratch_us:.1}µs, astar {astar_kernel_us:.1}µs, \
-         tree read {tree_kernel_us:.1}µs"
-    );
+    assert!(reference_found == astar_found, "search kernels disagree on the micro network");
+    eprintln!("search kernels: dijkstra {scratch_us:.1}µs, astar {astar_kernel_us:.1}µs");
 
     // ---- Micro: exponential unit price, powf vs cached -----------------
     let slot = SlotIndex(0);
@@ -709,15 +592,6 @@ fn main() {
             s.pops, s.stale_skips, s.relaxations, s.heuristic_prunes
         )
     };
-    let spt_json = |s: &sb_cear::SptStats| {
-        format!(
-            "{{ \"hits\": {}, \"misses\": {}, \"deferred\": {}, \"hit_rate\": {:.4} }}",
-            s.hits,
-            s.misses,
-            s.deferred,
-            s.hit_rate()
-        )
-    };
     let memory_json = format!(
         "{{\n    \"scale\": \"{}\",\n    \"delta_series_bytes\": {},\n    \
          \"full_series_bytes\": {},\n    \"delta_marginal_per_slot_bytes\": \
@@ -760,37 +634,23 @@ fn main() {
     let search_json = format!(
         "{{\n    \"kernel_dijkstra_us\": {scratch_us:.3},\n    \
          \"kernel_astar_us\": {astar_kernel_us:.3},\n    \
-         \"kernel_tree_us\": {tree_kernel_us:.3},\n    \
-         \"kernel_astar_speedup\": {:.4},\n    \"kernel_tree_speedup\": {:.4},\n    \
+         \"kernel_astar_speedup\": {:.4},\n    \
          \"quote_reference_us\": {quote_reference_us:.3},\n    \
          \"quote_astar_us\": {quote_astar_us:.3},\n    \
          \"quote_speedup\": {quote_search_speedup:.4},\n    \
-         \"repeat_quote_reference_us\": {repeat_reference_us:.3},\n    \
-         \"repeat_quote_astar_us\": {repeat_astar_us:.3},\n    \
-         \"repeat_quote_speedup\": {repeat_speedup:.4},\n    \
          \"deterministic\": {kernels_agree},\n    \"reference_stats\": {},\n    \
-         \"astar_stats\": {},\n    \"spt\": {},\n    \"repeat_spt\": {},\n    \
-         \"sweep_spt\": {}\n  }}",
+         \"astar_stats\": {}\n  }}",
         scratch_us / astar_kernel_us,
-        scratch_us / tree_kernel_us,
         stats_json(&reference_search),
         stats_json(&astar_search),
-        spt_json(&astar_spt),
-        spt_json(&repeat_spt),
-        spt_json(&sweep_spt),
     );
     let json = format!(
         "{{\n  \"scale\": \"{}\",\n  \"seeds\": {},\n  \"host\": {{\n    \
          \"available_parallelism\": {},\n    \"jobs\": {},\n    \
-         \"quote_threads\": {},\n    \"build_threads\": {}\n  }},\n  \"sweep\": {{\n    \"cells\": {},\n    \
+         \"build_threads\": {}\n  }},\n  \"sweep\": {{\n    \"cells\": {},\n    \
          \"serial_s\": {:.4},\n    \"parallel_s\": {:.4},\n    \
          \"serial_cells_per_s\": {:.4},\n    \"parallel_cells_per_s\": {:.4},\n    \
-         \"speedup\": {:.4},\n    \"deterministic\": {}\n  }},\n  \"quote\": {{\n    \
-         \"horizon_slots\": 12,\n    \"requests\": {},\n    \"passes\": {},\n    \
-         \"serial_us\": {:.3},\n    \"parallel_us\": {:.3},\n    \
-         \"speedup\": {:.4},\n    \"speculated_slots\": {},\n    \
-         \"validated_slots\": {},\n    \"fallback_slots\": {},\n    \
-         \"speculation_hit_rate\": {:.4},\n    \"deterministic\": {}\n  }},\n  \
+         \"speedup\": {:.4},\n    \"deterministic\": {}\n  }},\n  \
          \"topology\": {{\n    \"horizon_slots\": {},\n    \"build_serial_s\": {:.4},\n    \
          \"build_parallel_s\": {:.4},\n    \"build_speedup\": {:.4},\n    \
          \"deterministic\": {},\n    \"slot_build_us\": {:.3},\n    \"cache\": {{\n      \
@@ -805,7 +665,6 @@ fn main() {
         opts.seeds,
         sb_bench::default_jobs(),
         opts.jobs,
-        quote_threads,
         build_threads,
         cells.len(),
         serial_s,
@@ -814,16 +673,6 @@ fn main() {
         cells.len() as f64 / parallel_s,
         speedup,
         deterministic,
-        quote_requests.len(),
-        quote_passes,
-        quote_serial_us,
-        quote_parallel_us,
-        quote_speedup,
-        quote_stats.speculated_slots,
-        quote_stats.validated_slots,
-        quote_stats.fallback_slots,
-        quote_stats.hit_rate(),
-        quote_deterministic,
         scenario.horizon_slots,
         build_serial_s,
         build_parallel_s,

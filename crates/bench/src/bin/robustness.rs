@@ -22,8 +22,7 @@
 //! `--checkpoint-every N` to journal every run into `OUT/durable/`, and
 //! after an interruption rerun with `--resume OUT/durable` to pick up at
 //! the last checkpoint (completed cells replay from their cached metrics).
-//! `--jobs N` fans the independent sweep cells across N worker threads;
-//! `--quote-threads N` parallelizes each CEAR admission across its slots.
+//! `--jobs N` fans the independent sweep cells across N worker threads.
 //! `--fleet N` runs the same cells across N supervised worker *processes*
 //! with per-cell durable results (rerun the same command to resume a
 //! killed sweep), and `--chaos SPEC` injects scripted worker kills/hangs

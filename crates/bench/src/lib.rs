@@ -34,10 +34,6 @@ pub struct FigureOptions {
     /// parallelism). Cell *results* are ordered deterministically no matter
     /// how many workers run, so CSVs are byte-identical across values.
     pub jobs: usize,
-    /// Worker threads for speculative slot-parallel quoting inside each
-    /// CEAR admission (`--quote-threads N`; default 1 = serial). Quotes
-    /// are bit-identical for every value, so CSVs never change with it.
-    pub quote_threads: usize,
     /// Worker threads for each per-slot topology build inside `prepare`
     /// (`--build-threads N`; default: available parallelism). The built
     /// series is bit-identical for every value, so CSVs never change with
@@ -68,7 +64,6 @@ impl Default for FigureOptions {
             checkpoint_every: None,
             resume_from: None,
             jobs: default_jobs(),
-            quote_threads: 1,
             build_threads: default_jobs(),
             fleet: None,
             chaos: None,
@@ -84,9 +79,8 @@ pub fn default_jobs() -> usize {
 }
 
 /// Parses `--scale {paper,fast,tiny,mega,mega3}`, `--seeds N`, `--out DIR`,
-/// `--checkpoint-every N`, `--resume DIR`, `--jobs N`,
-/// `--quote-threads N`, `--build-threads N` and
-/// `--search {reference,astar}` from an argument iterator.
+/// `--checkpoint-every N`, `--resume DIR`, `--jobs N`, `--build-threads N`
+/// and `--search {reference,astar}` from an argument iterator.
 ///
 /// `--scale paper` defaults the seed count to the paper's 5, but an
 /// explicit `--seeds N` wins regardless of argument order.
@@ -94,7 +88,7 @@ pub fn default_jobs() -> usize {
 /// # Panics
 ///
 /// Panics with a usage message on unknown arguments, rejects `0` for
-/// `--jobs`/`--quote-threads`/`--build-threads` instead of silently
+/// `--jobs`/`--build-threads` instead of silently
 /// flooring it — these are experiment drivers, not long-lived services,
 /// and a zero thread count is a typo worth surfacing — and rejects an
 /// unknown `--search` kind instead of defaulting it.
@@ -152,9 +146,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> FigureOptions {
             "--jobs" => {
                 opts.jobs = parse_at_least_one(args.next(), "--jobs");
             }
-            "--quote-threads" => {
-                opts.quote_threads = parse_at_least_one(args.next(), "--quote-threads");
-            }
             "--build-threads" => {
                 opts.build_threads = parse_at_least_one(args.next(), "--build-threads");
             }
@@ -172,7 +163,7 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> FigureOptions {
             }
             other => panic!(
                 "unknown argument `{other}` (use --scale/--seeds/--out/--checkpoint-every\
-                 /--resume/--jobs/--quote-threads/--build-threads/--fleet/--chaos/--search)"
+                 /--resume/--jobs/--build-threads/--fleet/--chaos/--search)"
             ),
         }
     }
@@ -236,7 +227,7 @@ pub fn run_cell(
     seed: u64,
     cell: &str,
 ) -> RunMetrics {
-    let exec = ExecOptions { quote_threads: opts.quote_threads, search: opts.search };
+    let exec = ExecOptions { search: opts.search, ..ExecOptions::default() };
     if opts.checkpoint_every.is_none() && opts.resume_from.is_none() {
         return engine::run_prepared_exec(scenario, prepared, requests, kind, seed, &exec);
     }
@@ -340,7 +331,6 @@ pub fn run_sweep(
         });
     };
     let mut fleet_opts = sb_fleet::FleetOptions::new(workers, opts.out_dir.join("fleet"));
-    fleet_opts.quote_threads = opts.quote_threads;
     fleet_opts.build_threads = opts.build_threads;
     fleet_opts.search = opts.search;
     if let Some(plan) = &opts.chaos {
@@ -449,18 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn quote_threads_flag_parses_and_defaults() {
-        assert_eq!(parse(&["--quote-threads", "4"]).quote_threads, 4);
-        assert_eq!(parse(&[]).quote_threads, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "--quote-threads must be >= 1")]
-    fn zero_quote_threads_is_rejected_not_floored() {
-        parse(&["--quote-threads", "0"]);
-    }
-
-    #[test]
     fn build_threads_flag_parses_and_defaults() {
         assert_eq!(parse(&["--build-threads", "4"]).build_threads, 4);
         assert!(parse(&[]).build_threads >= 1);
@@ -543,9 +521,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown argument")]
     fn bad_flag_panics() {
-        let _ = parse(&["--frobnicate"]);
+        // The second is a removed flag: refused, not ignored.
+        for flag in ["--frobnicate", "--quote-threads"] {
+            let panic = std::panic::catch_unwind(|| parse(&[flag])).expect_err(flag);
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(message.contains("unknown argument"), "{flag}: {message}");
+        }
     }
 
     #[test]

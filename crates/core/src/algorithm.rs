@@ -1,17 +1,12 @@
 //! The online decision interface and the CEAR algorithm (Algorithm 1).
 
 use crate::params::CearParams;
-use crate::parquote::{EnergyPriceCache, EnergyProbe, QuoteStats, QuoteWorker};
 use crate::plan::{ReservationPlan, SlotPath};
-use crate::pricecache::PriceCache;
+use crate::pricecache::{EnergyPriceCache, MinUnitPriceCache, PriceCache};
 use crate::pricing;
 use crate::search::{
-    min_cost_path_in, min_cost_path_with, path_via_tree, settle_tree_in, EdgeContext, FoundPath,
-    HopBoundHeuristic, SearchScratch,
-};
-use crate::sptcache::{
-    model_key, spt_cache_disabled, GeomCache, MinUnitPriceCache, SearchKind, SptCache,
-    StrictLookup, UNIT_SLACK,
+    min_cost_path_in, min_cost_path_with, EdgeContext, FoundPath, GeomCache, HopBoundHeuristic,
+    SearchKind, SearchScratch, SearchStats, UNIT_SLACK,
 };
 use crate::state::{EpochReadSet, NetworkState};
 use sb_demand::Request;
@@ -115,45 +110,25 @@ pub struct Cear {
     /// `false` runs the pre-cache reference path (fresh allocations,
     /// direct `powf`) for equivalence testing — see [`Cear::reference`].
     use_caches: bool,
-    /// Worker threads for the speculative slot-parallel quote path
-    /// (see [`crate::parquote`]); `1` quotes serially.
-    pub(crate) quote_threads: usize,
     /// Which search kernel the per-slot searches run — the reference
-    /// Dijkstra or goal-directed A\* with SPT caching. Bit-identical
-    /// results either way (see [`crate::sptcache`]), so, like
-    /// `quote_threads`, it must never enter run digests.
+    /// Dijkstra or goal-directed A\*. Bit-identical results either way
+    /// (see [`SearchKind`]), so it must never enter run digests.
     pub(crate) search: SearchKind,
 }
 
 /// The per-instance acceleration state behind [`Cear`]'s quote path.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct CearHot {
-    pub(crate) scratch: SearchScratch,
-    /// Built lazily on first quote (needs `μ₁, μ₂`).
-    pub(crate) prices: Option<PriceCache>,
-    /// Per-slot `(satellite, role)` energy memo — a reusable flat array,
-    /// where it used to be a fresh `HashMap` per active slot.
-    pub(crate) energy: EnergyPriceCache,
-    /// Speculative-phase workers, created on first parallel quote and
-    /// retained so their arenas and price caches stay warm.
-    pub(crate) workers: Vec<QuoteWorker>,
-    /// Lifetime speculation counters — see [`Cear::quote_stats`].
-    pub(crate) stats: QuoteStats,
+struct CearHot {
+    scratch: SearchScratch,
+    /// Built lazily on first quote (needs `μ₁, μ₂`); stays `None` on the
+    /// reference path, which prices by direct `powf`.
+    prices: Option<PriceCache>,
+    /// Per-slot `(satellite, role)` energy memo.
+    energy: EnergyPriceCache,
     /// Hop-bound geometry for the A\* heuristic.
-    pub(crate) geom: GeomCache,
+    geom: GeomCache,
     /// Per-slot minimum link unit price (the heuristic's price floor).
-    pub(crate) hmin: MinUnitPriceCache,
-    /// Strict (generation-exact) shortest-path-tree cache.
-    pub(crate) spt: SptCache,
-}
-
-impl CearHot {
-    /// Grows the worker pool to at least `n` entries.
-    pub(crate) fn ensure_workers(&mut self, n: usize, params: &CearParams) {
-        while self.workers.len() < n {
-            self.workers.push(QuoteWorker::new(params));
-        }
-    }
+    hmin: MinUnitPriceCache,
 }
 
 /// Which of CEAR's three mechanisms are active — for ablation studies.
@@ -202,7 +177,6 @@ impl Cear {
             ablation: AblationFlags::default(),
             hot: RefCell::new(CearHot::default()),
             use_caches: true,
-            quote_threads: 1,
             search: SearchKind::default(),
         }
     }
@@ -218,7 +192,7 @@ impl Cear {
     }
 
     /// Selects the search kernel. Purely an execution knob — quotes are
-    /// **bit-identical** for either kind (see [`crate::sptcache`]).
+    /// **bit-identical** for either kind (see [`SearchKind`]).
     pub fn with_search(mut self, search: SearchKind) -> Self {
         self.search = search;
         self
@@ -229,36 +203,11 @@ impl Cear {
         self.search
     }
 
-    /// Sets the number of worker threads for the speculative slot-parallel
-    /// quote path (floored at 1, which quotes serially).
-    ///
-    /// Purely an execution knob: quotes are **bit-identical** for every
-    /// thread count (see [`crate::parquote`]), so it must never enter run
-    /// digests or scenario configuration.
-    pub fn with_quote_threads(mut self, threads: usize) -> Self {
-        self.quote_threads = threads.max(1);
-        self
-    }
-
-    /// The configured speculative-quote worker count.
-    pub fn quote_threads(&self) -> usize {
-        self.quote_threads
-    }
-
-    /// Speculation, search-work and SPT-cache counters accumulated by this
-    /// instance's quotes — hit-rate reporting for the perf harness. Search
-    /// and SPT counters are summed over the serial path and every
-    /// speculative worker.
+    /// Search-work counters accumulated by this instance's quotes — for
+    /// the perf harness. A [`Cear::reference`] instance searches in
+    /// throwaway memory and counts nothing.
     pub fn quote_stats(&self) -> QuoteStats {
-        let hot = self.hot.borrow();
-        let mut stats = hot.stats;
-        stats.search.merge(&hot.scratch.stats());
-        stats.spt.merge(&hot.spt.stats);
-        for worker in &hot.workers {
-            stats.search.merge(&worker.scratch.stats());
-            stats.spt.merge(&worker.spt.stats);
-        }
-        stats
+        QuoteStats { search: self.hot.borrow().scratch.stats(), ..QuoteStats::default() }
     }
 
     /// Creates an ablated CEAR variant (for the ablation benches).
@@ -323,77 +272,55 @@ impl Cear {
         state: &NetworkState,
         known: Option<&crate::lifecycle::KnownFailures>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
-        if self.use_caches {
-            let hot = &mut *self.hot.borrow_mut();
-            if hot.prices.is_none() {
-                hot.prices = Some(PriceCache::new(self.params.mu1(), self.params.mu2()));
-            }
-            // Single-slot requests have no cross-slot coupling to
-            // speculate around; quote them serially whatever the thread
-            // count.
-            if self.quote_threads > 1 && request.duration_slots() > 1 {
-                return self.quote_speculative(request, state, known, hot);
-            }
-            hot.stats.serial_quotes += 1;
-            let CearHot { scratch, prices, energy, geom, hmin, spt, .. } = hot;
-            self.quote_serial(
-                request,
-                state,
-                known,
-                scratch,
-                prices.as_mut(),
-                energy,
-                Some(SearchAccel { geom, hmin, spt }),
-            )
-        } else {
-            self.quote_serial(
-                request,
-                state,
-                known,
-                &mut SearchScratch::new(),
-                None,
-                &mut EnergyPriceCache::new(),
-                None,
-            )
-        }
+        self.quote_with(request, state, known, None)
     }
 
-    /// The serial quote body, generic over the acceleration state:
-    /// `scratch`/`energy` are either this instance's retained arenas or
-    /// throwaways, and `prices` is `Some` exactly when memoized pricing is
-    /// on. All branches evaluate the same arithmetic in the same order, so
-    /// the result is bit-identical every way.
-    #[allow(clippy::too_many_arguments)] // mirrors search_slot's acceleration-state plumbing
-    pub(crate) fn quote_serial(
+    /// [`Cear::quote`] that also returns the epoch read-set of every
+    /// resource cell the search consulted — the optimistic-concurrency
+    /// entry point for `sb-serve`'s quote workers.
+    ///
+    /// Recording changes no arithmetic — the quote is bit-identical either
+    /// way. The read set is returned for **rejections too** — a rejection
+    /// is as much a function of the cells read as an admission is, and a
+    /// committer must revalidate it before answering honestly, or a
+    /// concurrent release could have made the path affordable.
+    pub fn quote_recording(
         &self,
         request: &Request,
         state: &NetworkState,
-        known: Option<&crate::lifecycle::KnownFailures>,
-        scratch: &mut SearchScratch,
-        prices: Option<&mut PriceCache>,
-        energy: &mut EnergyPriceCache,
-        accel: Option<SearchAccel<'_>>,
-    ) -> Result<(ReservationPlan, f64), RejectReason> {
-        self.quote_serial_recording(request, state, known, scratch, prices, energy, accel, None)
+    ) -> (Result<(ReservationPlan, f64), RejectReason>, EpochReadSet) {
+        let mut reads = EpochReadSet::new();
+        let result = self.quote_with(request, state, None, Some(&mut reads));
+        reads.normalize();
+        (result, reads)
     }
 
-    /// [`Cear::quote_serial`] with an optional epoch read-set collector:
+    /// The quote body behind every entry point — Algorithm 1 line 5, one
+    /// min-price path per active slot. `known` prunes known-down edges;
     /// when `reads` is `Some`, every resource cell the search consults is
-    /// recorded at its current epoch (see [`EpochReadSet`]). Recording
-    /// changes no arithmetic — the quote is bit-identical either way.
-    #[allow(clippy::too_many_arguments)] // mirrors search_slot's acceleration-state plumbing
-    pub(crate) fn quote_serial_recording(
+    /// recorded at its current epoch (see [`EpochReadSet`]).
+    fn quote_with(
         &self,
         request: &Request,
         state: &NetworkState,
         known: Option<&crate::lifecycle::KnownFailures>,
-        scratch: &mut SearchScratch,
-        mut prices: Option<&mut PriceCache>,
-        energy: &mut EnergyPriceCache,
-        mut accel: Option<SearchAccel<'_>>,
         mut reads: Option<&mut EpochReadSet>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
-        // Algorithm 1 line 5: the min-price plan, one path per active slot.
+        // The retained arenas and memoized prices, or — on the reference
+        // path — throwaways with no price cache. Both evaluate the same
+        // arithmetic in the same order, so the result is bit-identical.
+        let mut retained;
+        let mut throwaway;
+        let hot: &mut CearHot = if self.use_caches {
+            retained = self.hot.borrow_mut();
+            if retained.prices.is_none() {
+                retained.prices = Some(PriceCache::new(self.params.mu1(), self.params.mu2()));
+            }
+            &mut retained
+        } else {
+            throwaway = CearHot::default();
+            &mut throwaway
+        };
         // Successive slots are searched against a transactional overlay that
         // carries the request's *own* consumption forward — a plan feasible
         // slot-by-slot in isolation can over-draw a battery jointly, because
@@ -403,375 +330,167 @@ impl Cear {
         let mut tx = state.ledger().overlay();
         let mut slot_paths = Vec::with_capacity(request.duration_slots());
         let mut total_cost = 0.0;
+        let slot_s = state.slot_duration_s();
+        let energy = state.energy_params();
         for slot in request.active_slots() {
-            let found = search_slot(
-                &self.params,
-                self.ablation,
-                request,
-                state,
-                known,
-                slot,
-                &tx,
-                scratch,
-                prices.as_deref_mut(),
-                energy,
-                None,
-                reads.as_deref_mut(),
-                self.search,
-                accel.as_mut(),
-            )
-            .ok_or(RejectReason::NoFeasiblePath)?;
-            fold_slot(request, state, slot, found, &mut tx, &mut slot_paths, &mut total_cost)?;
+            let found = self
+                .search_slot(request, state, known, slot, &tx, hot, reads.as_deref_mut())
+                .ok_or(RejectReason::NoFeasiblePath)?;
+            // Fold the slot into the quote: strip the tie-break epsilon
+            // from the accumulated cost, and roll the slot's consumption
+            // into the overlay so later slots of the same request see it.
+            let rate = request.rate_at(slot);
+            total_cost +=
+                (found.cost - HOP_TIEBREAK * (1.0 + rate) * found.edges.len() as f64).max(0.0);
+            let sp = SlotPath { slot, nodes: found.nodes, edges: found.edges };
+            for (node, role) in sp.satellite_roles(state.series().snapshot(slot)) {
+                let sat = state.satellite_index(node).expect("role on non-satellite");
+                let consumption = energy.consumption_j(role, rate, slot_s);
+                if tx.try_commit(sat, slot.index(), consumption).is_none() {
+                    // Only reachable when a path revisits a satellite
+                    // (a zero-cost walk) — reject conservatively.
+                    return Err(RejectReason::CommitFailed);
+                }
+            }
+            slot_paths.push(sp);
         }
         let plan = ReservationPlan { slot_paths, total_cost };
         Ok((plan, total_cost))
     }
 
-    /// [`Cear::quote`] that also returns the epoch read-set of every
-    /// resource cell the search consulted — the optimistic-concurrency
-    /// entry point for `sb-serve`'s quote workers.
+    /// Searches one active slot's min-price path for `request` against the
+    /// energy overlay `tx` — the per-slot kernel of Algorithm 1 line 5.
     ///
-    /// Always quotes serially: recording is defined over the serial read
-    /// order, and a service quote worker owns a whole `Cear` instance
-    /// anyway. The read set is returned for **rejections too** — a
-    /// rejection is as much a function of the cells read as an admission
-    /// is, and a committer must revalidate it before answering honestly,
-    /// or a concurrent release could have made the path affordable.
-    pub fn quote_recording(
+    /// With [`SearchKind::Astar`] on a caching instance the search is
+    /// goal-directed by the hop-bound heuristic (unit = the tie-break floor
+    /// plus, when bandwidth is priced, the slot's minimum link unit price —
+    /// both lower bounds on any edge weight, so the heuristic is admissible
+    /// and consistent and the result is bit-identical to the reference).
+    /// Read-set recording forces the reference kernel — the recorded set
+    /// is defined over the reference expansion order.
+    #[allow(clippy::too_many_arguments)] // what to route, where, and what the search may write
+    fn search_slot(
         &self,
         request: &Request,
         state: &NetworkState,
-    ) -> (Result<(ReservationPlan, f64), RejectReason>, EpochReadSet) {
-        let mut reads = EpochReadSet::new();
-        let result = if self.use_caches {
-            let hot = &mut *self.hot.borrow_mut();
-            if hot.prices.is_none() {
-                hot.prices = Some(PriceCache::new(self.params.mu1(), self.params.mu2()));
-            }
-            hot.stats.serial_quotes += 1;
-            let CearHot { scratch, prices, energy, .. } = hot;
-            // No acceleration state: a recorded read set is defined over
-            // the reference expansion order (search_slot also forces the
-            // reference kernel whenever `reads` is `Some`).
-            self.quote_serial_recording(
-                request,
-                state,
-                None,
-                scratch,
-                prices.as_mut(),
-                energy,
-                None,
-                Some(&mut reads),
-            )
-        } else {
-            self.quote_serial_recording(
-                request,
-                state,
-                None,
-                &mut SearchScratch::new(),
-                None,
-                &mut EnergyPriceCache::new(),
-                None,
-                Some(&mut reads),
-            )
-        };
-        reads.normalize();
-        (result, reads)
-    }
-}
-
-/// The goal-direction and SPT acceleration state a [`search_slot`] call
-/// may borrow: hop-bound geometry and price floor for the A\* heuristic,
-/// and the strict shortest-path-tree cache. `Some` on the cached quote
-/// paths, `None` on the reference path.
-pub(crate) struct SearchAccel<'a> {
-    pub(crate) geom: &'a mut GeomCache,
-    pub(crate) hmin: &'a mut MinUnitPriceCache,
-    pub(crate) spt: &'a mut SptCache,
-}
-
-/// The search-relevant ablation bits for the SPT model key (admission
-/// control never changes edge weights, so it is excluded).
-fn ablation_code(a: AblationFlags) -> u64 {
-    u64::from(a.price_bandwidth) | (u64::from(a.price_energy) << 1)
-}
-
-/// Searches one active slot's min-price path for `request` against the
-/// energy overlay `tx` — the per-slot kernel of Algorithm 1 line 5, shared
-/// by the serial quote, the speculative phase-1 workers (which pass a
-/// *clean* overlay over the base ledger) and the phase-2 fallback.
-///
-/// When `probes` is `Some`, every first-query `(satellite, role)` energy
-/// evaluation records the [`DeficitTrace`](sb_energy::DeficitTrace) it
-/// consumed — the complete set of overlay-dependent inputs, which phase 2
-/// validates bitwise against the real overlay.
-///
-/// `search` selects the kernel. With [`SearchKind::Astar`] and `accel`
-/// present, the search is goal-directed by the hop-bound heuristic (unit =
-/// the tie-break floor plus, when bandwidth is priced, the slot's minimum
-/// link unit price — both lower bounds on any edge weight, so the
-/// heuristic is admissible and consistent and the result is bit-identical
-/// to the reference). Clean-overlay searches additionally go through the
-/// strict SPT cache: a generation-exact stored tree answers via
-/// [`path_via_tree`], replaying its build-time energy probes so
-/// speculative validation still sees every ledger read; destination edges
-/// are always evaluated fresh. Read-set recording forces the reference
-/// kernel — the recorded set is defined over the reference expansion
-/// order.
-#[allow(clippy::too_many_arguments)] // a packed context struct would just rename the coupling
-pub(crate) fn search_slot(
-    params: &CearParams,
-    ablation: AblationFlags,
-    request: &Request,
-    state: &NetworkState,
-    known: Option<&crate::lifecycle::KnownFailures>,
-    slot: SlotIndex,
-    tx: &LedgerOverlay<'_>,
-    scratch: &mut SearchScratch,
-    mut prices: Option<&mut PriceCache>,
-    energy_cache: &mut EnergyPriceCache,
-    mut probes: Option<&mut Vec<EnergyProbe>>,
-    mut reads: Option<&mut EpochReadSet>,
-    search: SearchKind,
-    mut accel: Option<&mut SearchAccel<'_>>,
-) -> Option<FoundPath> {
-    let mu1 = params.mu1();
-    let mu2 = params.mu2();
-    let slot_s = state.slot_duration_s();
-    let energy = state.energy_params();
-    let ledger = state.ledger();
-    let snapshot = state.series().snapshot(slot);
-    let rate = request.rate_at(slot);
-    let t = slot.index();
-    // Energy cost of satellite `sat` playing `role` at this slot, memoized
-    // per (sat, role): the deficit trace priced per Eq. (12), or None when
-    // the battery cannot absorb the consumption.
-    energy_cache.begin_slot(state.num_satellites());
-    // Heuristic inputs are computed before the cost closure below captures
-    // the price cache mutably. Every edge weight is at least the tie-break
-    // term plus (when bandwidth is priced) rate × the slot's minimum unit
-    // price, so hop-bound × that unit is an admissible lower bound; the
-    // slack keeps float rounding from ever tipping it over.
-    let astar = search == SearchKind::Astar && reads.is_none();
-    let mut hops = None;
-    let mut unit = 0.0;
-    if astar {
-        if let Some(a) = accel.as_deref_mut() {
-            hops = Some(a.geom.hop_bounds(state.series_arc(), slot, request.destination));
-            unit = HOP_TIEBREAK * (1.0 + rate);
-            if ablation.price_bandwidth {
-                if let Some(pc) = prices.as_deref_mut() {
-                    unit += rate * a.hmin.min_unit_price(state, slot, pc);
-                }
-            }
-            unit *= UNIT_SLACK;
-        }
-    }
-    let prices = &mut prices;
-    let probes = &mut probes;
-    let reads = &mut reads;
-    // The cost closure is instantiated up to three times per call (tree
-    // read, tree settle, direct search) with different energy-probe sinks;
-    // the macro keeps the bodies textually identical so every
-    // instantiation computes the same bits.
-    macro_rules! cost_fn {
-        ($sink:expr) => {
-            |ctx: &EdgeContext<'_>| {
-                // Known-down edges are gone, whatever the price says.
-                if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
-                    return None;
-                }
-                // Every relaxation below reads the cell's reservation
-                // (residual and, when priced, utilization) — record it
-                // before the first read so rejected edges are in the read
-                // set too: a foreign commit that frees capacity on one of
-                // them could flip the quote.
-                if let Some(rec) = reads.as_deref_mut() {
-                    rec.record_bandwidth(state, slot, ctx.edge_id);
-                }
-                // Bandwidth feasibility (7b) and price. The relaxation
-                // holds the edge, so its capacity costs no lookup.
-                let capacity = ctx.edge.capacity_mbps;
-                if state.residual_of(slot, ctx.edge_id, capacity) + 1e-9 < rate {
-                    return None;
-                }
-                let mut cost = HOP_TIEBREAK * (1.0 + rate);
+        known: Option<&crate::lifecycle::KnownFailures>,
+        slot: SlotIndex,
+        tx: &LedgerOverlay<'_>,
+        hot: &mut CearHot,
+        mut reads: Option<&mut EpochReadSet>,
+    ) -> Option<FoundPath> {
+        let ablation = self.ablation;
+        let mu1 = self.params.mu1();
+        let mu2 = self.params.mu2();
+        let slot_s = state.slot_duration_s();
+        let energy = state.energy_params();
+        let ledger = state.ledger();
+        let snapshot = state.series().snapshot(slot);
+        let rate = request.rate_at(slot);
+        let t = slot.index();
+        let CearHot { scratch, prices, energy: energy_cache, geom, hmin } = hot;
+        // Energy cost of satellite `sat` playing `role` at this slot, memoized
+        // per (sat, role): the deficit trace priced per Eq. (12), or None when
+        // the battery cannot absorb the consumption.
+        energy_cache.begin_slot(state.num_satellites());
+        // Heuristic inputs are computed before the cost closure below captures
+        // the price cache mutably. Every edge weight is at least the tie-break
+        // term plus (when bandwidth is priced) rate × the slot's minimum unit
+        // price, so hop-bound × that unit is an admissible lower bound; the
+        // slack keeps float rounding from ever tipping it over.
+        // The reference path (no price cache) and a recording quote run the
+        // reference kernel whatever `search` says.
+        let heuristic = match prices.as_mut() {
+            Some(pc) if self.search == SearchKind::Astar && reads.is_none() => {
+                let hops = geom.hop_bounds(state.series_arc(), slot, request.destination);
+                let mut unit = HOP_TIEBREAK * (1.0 + rate);
                 if ablation.price_bandwidth {
-                    // Cached and fresh paths compute the same
-                    // `rate · (μ₁^λ − 1)` product bit-identically.
-                    cost += match prices.as_deref_mut() {
-                        Some(pc) => rate * pc.link_unit_price(state, slot, ctx.edge_id),
-                        None => pricing::bandwidth_price(
-                            mu1,
-                            state.utilization_of(slot, ctx.edge_id, capacity),
-                            rate,
-                        ),
-                    };
+                    unit += rate * hmin.min_unit_price(state, slot, pc);
                 }
-                // Energy feasibility (7c) and price for the edge's source
-                // satellite in its role.
-                if let Some(sat) = state.satellite_index(ctx.edge.src) {
-                    let role = SatelliteRole::from_link_types(
-                        ctx.incoming == Some(LinkType::Isl),
-                        ctx.edge.link_type == LinkType::Isl,
-                    );
-                    let cached = energy_cache.get_or_insert_with(sat, role, || {
-                        // First probe of this satellite in this slot: the
-                        // peek and the pricing below read its deficit row,
-                        // so record it.
-                        if let Some(rec) = reads.as_deref_mut() {
-                            rec.record_battery_row(state, sat);
-                        }
-                        let consumption = energy.consumption_j(role, rate, slot_s);
-                        let trace = tx.peek(sat, t, consumption);
-                        let price = trace.as_ref().map(|trace| match prices.as_deref_mut() {
-                            Some(pc) => pricing::deficit_price_with(trace, |tt| {
-                                pc.battery_unit_price(state, sat, tt)
-                            }),
-                            None => pricing::deficit_price(mu2, trace, |tt| {
-                                ledger.battery_utilization(sat, tt)
-                            }),
-                        });
-                        if let Some(rec) = $sink {
-                            rec.push(EnergyProbe { sat, t, consumption_j: consumption, trace });
-                        }
-                        price
-                    });
-                    // Feasibility always applies; the price only when the
-                    // energy term is not ablated.
-                    let energy_price = cached?;
-                    if ablation.price_energy {
-                        cost += energy_price;
-                    }
-                }
-                Some(cost)
+                Some((hops, unit * UNIT_SLACK))
             }
+            _ => None,
         };
-    }
-    // Strict SPT reuse: only for clean-overlay, unpruned searches — the
-    // stored tree (and its probes) were recorded against the base ledger
-    // with no failure overlay, and generation-exact matching guarantees
-    // the base ledger is bit-identical now. Destination edges are never in
-    // the tree; `path_via_tree` evaluates them fresh either way.
-    if astar && known.is_none() && tx.is_clean() && !spt_cache_disabled() {
-        if let Some(a) = accel {
-            a.spt.ensure_anchor(state.series_arc());
-            let model = model_key(0, &[mu1.to_bits(), mu2.to_bits(), ablation_code(ablation)]);
-            let slot_gen = state.slot_bandwidth_gen(slot);
-            let battery_gen = state.battery_gen();
-            let lookup = a.spt.probe_strict(
-                slot,
+        let cost_fn = |ctx: &EdgeContext<'_>| {
+            // Known-down edges are gone, whatever the price says.
+            if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
+                return None;
+            }
+            // Every relaxation below reads the cell's reservation
+            // (residual and, when priced, utilization) — record it
+            // before the first read so rejected edges are in the read
+            // set too: a foreign commit that frees capacity on one of
+            // them could flip the quote.
+            if let Some(rec) = reads.as_deref_mut() {
+                rec.record_bandwidth(state, slot, ctx.edge_id);
+            }
+            // Bandwidth feasibility (7b) and price. The relaxation
+            // holds the edge, so its capacity costs no lookup.
+            let capacity = ctx.edge.capacity_mbps;
+            if state.residual_of(slot, ctx.edge_id, capacity) + 1e-9 < rate {
+                return None;
+            }
+            let mut cost = HOP_TIEBREAK * (1.0 + rate);
+            if ablation.price_bandwidth {
+                // Cached and fresh paths compute the same
+                // `rate · (μ₁^λ − 1)` product bit-identically.
+                cost += match prices.as_mut() {
+                    Some(pc) => rate * pc.link_unit_price(state, slot, ctx.edge_id),
+                    None => pricing::bandwidth_price(
+                        mu1,
+                        state.utilization_of(slot, ctx.edge_id, capacity),
+                        rate,
+                    ),
+                };
+            }
+            // Energy feasibility (7c) and price for the edge's source
+            // satellite in its role.
+            if let Some(sat) = state.satellite_index(ctx.edge.src) {
+                let role = SatelliteRole::from_link_types(
+                    ctx.incoming == Some(LinkType::Isl),
+                    ctx.edge.link_type == LinkType::Isl,
+                );
+                let cached = energy_cache.get_or_insert_with(sat, role, || {
+                    // First probe of this satellite in this slot: the
+                    // peek and the pricing below read its deficit row,
+                    // so record it.
+                    if let Some(rec) = reads.as_deref_mut() {
+                        rec.record_battery_row(state, sat);
+                    }
+                    let consumption = energy.consumption_j(role, rate, slot_s);
+                    let trace = tx.peek(sat, t, consumption)?;
+                    Some(match prices.as_mut() {
+                        Some(pc) => pricing::deficit_price_with(&trace, |tt| {
+                            pc.battery_unit_price(state, sat, tt)
+                        }),
+                        None => pricing::deficit_price(mu2, &trace, |tt| {
+                            ledger.battery_utilization(sat, tt)
+                        }),
+                    })
+                });
+                // Feasibility always applies; the price only when the
+                // energy term is not ablated.
+                let energy_price = cached?;
+                if ablation.price_energy {
+                    cost += energy_price;
+                }
+            }
+            Some(cost)
+        };
+        match &heuristic {
+            Some((hops, unit)) => min_cost_path_with(
+                scratch,
+                snapshot,
                 request.source,
-                model,
-                slot_gen,
-                battery_gen,
-                rate.to_bits(),
-            );
-            match lookup {
-                StrictLookup::Hit => {
-                    let (tree, stored) = a.spt.strict_entry(slot, request.source, model);
-                    // Replay the build-time probes into the caller's sink:
-                    // a speculative phase-2 validator must still see every
-                    // ledger read the settle consumed.
-                    if let Some(rec) = probes.as_deref_mut() {
-                        rec.extend_from_slice(stored);
-                    }
-                    return path_via_tree(
-                        tree,
-                        snapshot,
-                        request.source,
-                        request.destination,
-                        cost_fn!(probes.as_deref_mut()),
-                    );
-                }
-                StrictLookup::Build => {
-                    // Settle probes go into the entry (later hits replay
-                    // them) and are copied to the caller's sink; the
-                    // destination evaluations below probe fresh.
-                    let mut build_probes: Vec<EnergyProbe> = Vec::new();
-                    let tree = settle_tree_in(
-                        scratch,
-                        snapshot,
-                        request.source,
-                        cost_fn!(Some(&mut build_probes)),
-                    );
-                    if let Some(rec) = probes.as_deref_mut() {
-                        rec.extend_from_slice(&build_probes);
-                    }
-                    let found = path_via_tree(
-                        &tree,
-                        snapshot,
-                        request.source,
-                        request.destination,
-                        cost_fn!(probes.as_deref_mut()),
-                    );
-                    a.spt.insert_strict(
-                        slot,
-                        request.source,
-                        model,
-                        slot_gen,
-                        battery_gen,
-                        rate.to_bits(),
-                        tree,
-                        build_probes,
-                    );
-                    return found;
-                }
-                StrictLookup::Defer => {}
+                request.destination,
+                &HopBoundHeuristic { hops_lb: hops, unit: *unit },
+                cost_fn,
+            ),
+            None => {
+                min_cost_path_in(scratch, snapshot, request.source, request.destination, cost_fn)
             }
         }
     }
-    match &hops {
-        Some(hops) => min_cost_path_with(
-            scratch,
-            snapshot,
-            request.source,
-            request.destination,
-            &HopBoundHeuristic { hops_lb: hops, unit },
-            cost_fn!(probes.as_deref_mut()),
-        ),
-        None => min_cost_path_in(
-            scratch,
-            snapshot,
-            request.source,
-            request.destination,
-            cost_fn!(probes.as_deref_mut()),
-        ),
-    }
-}
-
-/// Folds one slot's found path into the quote under construction: strips
-/// the tie-break epsilon from the accumulated cost, rolls the slot's
-/// consumption into the overlay so later slots of the same request see it,
-/// and appends the [`SlotPath`]. Shared by the serial quote and both
-/// phase-2 arms of the speculative path, so every route through the code
-/// folds identically.
-pub(crate) fn fold_slot(
-    request: &Request,
-    state: &NetworkState,
-    slot: SlotIndex,
-    found: FoundPath,
-    tx: &mut LedgerOverlay<'_>,
-    slot_paths: &mut Vec<SlotPath>,
-    total_cost: &mut f64,
-) -> Result<(), RejectReason> {
-    let rate = request.rate_at(slot);
-    let slot_s = state.slot_duration_s();
-    let energy = state.energy_params();
-    let snapshot = state.series().snapshot(slot);
-    *total_cost += (found.cost - HOP_TIEBREAK * (1.0 + rate) * found.edges.len() as f64).max(0.0);
-    let sp = SlotPath { slot, nodes: found.nodes, edges: found.edges };
-    for (node, role) in sp.satellite_roles(snapshot) {
-        let sat = state.satellite_index(node).expect("role on non-satellite");
-        let consumption = energy.consumption_j(role, rate, slot_s);
-        if tx.try_commit(sat, slot.index(), consumption).is_none() {
-            // Only reachable when a path revisits a satellite
-            // (a zero-cost walk) — reject conservatively.
-            return Err(RejectReason::CommitFailed);
-        }
-    }
-    slot_paths.push(sp);
-    Ok(())
 }
 
 impl RoutingAlgorithm for Cear {
@@ -867,6 +586,21 @@ pub fn plan_slot_cost_cached(
     cost
 }
 
+/// Counters accumulated over an instance's quotes — see
+/// [`Cear::quote_stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QuoteStats {
+    /// Search work counters of the instance's arena (see [`SearchStats`]).
+    pub search: SearchStats,
+    // The rest is always zero: see the compatibility block in `lib.rs`.
+    #[doc(hidden)]
+    pub spt: crate::SptStats,
+    #[doc(hidden)]
+    pub speculated_slots: u64,
+    #[doc(hidden)]
+    pub validated_slots: u64,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,9 +608,14 @@ mod tests {
     use sb_energy::EnergyParams;
     use sb_geo::coords::Geodetic;
     use sb_orbit::walker::WalkerConstellation;
+    use sb_topology::graph::EdgeId;
     use sb_topology::{NetworkNodes, NodeId, SlotIndex, TopologyConfig, TopologySeries};
 
     fn build_state(slots: usize) -> (NetworkState, NodeId, NodeId) {
+        build_state_with(slots, &EnergyParams::default())
+    }
+
+    fn build_state_with(slots: usize, energy: &EnergyParams) -> (NetworkState, NodeId, NodeId) {
         let shell = WalkerConstellation::delta(12, 12, 1, 550e3, 53f64.to_radians());
         let mut nodes = NetworkNodes::from_walker(&shell);
         let a = nodes.add_ground_site(Geodetic::from_degrees(35.8, -78.6, 0.0));
@@ -886,7 +625,7 @@ mod tests {
         let cfg =
             TopologyConfig { min_elevation_rad: 10f64.to_radians(), ..TopologyConfig::default() };
         let series = TopologySeries::build(&nodes, &cfg, slots, 60.0);
-        (NetworkState::new(series, &EnergyParams::default()), a, b)
+        (NetworkState::new(series, energy), a, b)
     }
 
     fn request(src: NodeId, dst: NodeId, rate: f64, start: u32, end: u32, value: f64) -> Request {
@@ -1158,6 +897,139 @@ mod tests {
                 let cached = plan_slot_cost_cached(sp, &req, &state, &mut prices);
                 assert_eq!(cached.to_bits(), fresh.to_bits(), "pass {pass}");
             }
+        }
+    }
+
+    /// Exercises the [`EpochReadSet`] soundness contract for one request
+    /// against one state:
+    ///
+    /// * replaying the quote against a state with untouched read-set
+    ///   epochs — a clean clone, and a clone whose *unread* cells were
+    ///   mutated — reproduces outcome, plan, price and read set bit for
+    ///   bit, across accelerator configurations (cached recorder vs.
+    ///   uncached reference replayer);
+    /// * mutating any single recorded cell flips
+    ///   [`is_current`](EpochReadSet::is_current) to `false` (sampled here
+    ///   to bound clone count; the proptest below draws random cells);
+    /// * committing the quoted plan itself conflicts the read set (every
+    ///   plan resource was, by construction, read).
+    fn assert_read_set_sound(req: &Request, state: &NetworkState, label: &str) {
+        let (outcome, reads) = Cear::new(CearParams::default()).quote_recording(req, state);
+        assert!(!reads.is_empty(), "{label}: quote recorded no reads");
+        assert!(reads.is_current(state), "{label}: fresh read set already stale");
+
+        let assert_replay_matches = |replay_state: &NetworkState, what: &str| {
+            let (replayed, re_reads) =
+                Cear::reference(CearParams::default()).quote_recording(req, replay_state);
+            match (&outcome, &replayed) {
+                (Ok((pa, qa)), Ok((pb, qb))) => {
+                    assert_eq!(pa, pb, "{label}/{what}: plans differ");
+                    assert_eq!(qa.to_bits(), qb.to_bits(), "{label}/{what}: price bits differ");
+                }
+                (a, b) => assert_eq!(a, b, "{label}/{what}: outcomes differ"),
+            }
+            assert_eq!(reads, re_reads, "{label}/{what}: read sets differ");
+        };
+
+        // Unchanged read-set epochs → bit-identical replay. Clones
+        // preserve epochs, so a clean clone qualifies.
+        assert_replay_matches(&state.clone(), "clean clone");
+
+        // A cell the quote never read is free to change: no conflict, and
+        // the replay must not notice.
+        let read_bw: std::collections::HashSet<(usize, usize)> =
+            reads.bandwidth_cells().map(|(s, e)| (s.index(), e.index())).collect();
+        'unread: for t in 0..state.horizon() {
+            let slot = SlotIndex(t as u32);
+            for e in 0..state.series().snapshot(slot).num_edges() {
+                if !read_bw.contains(&(t, e)) {
+                    let mut other = state.clone();
+                    other.debug_set_reserved(slot, EdgeId(e as u32), 1.0);
+                    assert!(
+                        reads.is_current(&other),
+                        "{label}: unread cell ({t},{e}) flagged as a conflict"
+                    );
+                    assert_replay_matches(&other, "unread cell mutated");
+                    break 'unread;
+                }
+            }
+        }
+
+        // Any single recorded bandwidth cell, touched → conflict.
+        let cells: Vec<_> = reads.bandwidth_cells().collect();
+        for &(slot, edge) in cells.iter().step_by((cells.len() / 8).max(1)) {
+            let mut touched = state.clone();
+            touched.debug_set_reserved(slot, edge, 1.0);
+            assert!(
+                !reads.is_current(&touched),
+                "{label}: missed bandwidth conflict at slot {} edge {}",
+                slot.index(),
+                edge.index()
+            );
+        }
+
+        // Any single recorded battery cell, touched → conflict.
+        let sats: Vec<_> = reads.battery_sats().collect();
+        for (k, &sat) in sats.iter().enumerate().step_by((sats.len() / 8).max(1)) {
+            let mut touched = state.clone();
+            touched.debug_bump_battery_epoch(sat, k % state.horizon());
+            assert!(!reads.is_current(&touched), "{label}: missed battery conflict at sat {sat}");
+        }
+
+        // Committing the quote's own plan must invalidate its read set.
+        if let Ok((plan, _)) = &outcome {
+            let mut committed = state.clone();
+            committed.try_commit_plan(req, plan).expect("quoted plan must commit");
+            assert!(!reads.is_current(&committed), "{label}: commit left its own read set current");
+        }
+    }
+
+    /// Deterministic read-set soundness sweep (the offline-runnable
+    /// companion to the proptest below): admissions and price rejections,
+    /// single- and multi-slot windows, against fresh and partially
+    /// committed states.
+    #[test]
+    fn epoch_read_set_replay_and_conflicts() {
+        let (mut state, src, dst) = build_state(3);
+        let admit = request(src, dst, 800.0, 0, 2, f64::MAX);
+        assert_read_set_sound(&admit, &state, "multi-slot admit");
+        assert_read_set_sound(&request(src, dst, 500.0, 1, 1, f64::MAX), &state, "single slot");
+        assert_read_set_sound(&request(src, dst, 800.0, 0, 2, 1e-9), &state, "price reject");
+
+        // Reads recorded against a loaded state must see *those* epochs.
+        let mut cear = Cear::new(CearParams::default());
+        for k in 0..6u32 {
+            let _ = cear
+                .process(&request(src, dst, 400.0 + 150.0 * k as f64, 0, 2, f64::MAX), &mut state);
+        }
+        assert_read_set_sound(&admit, &state, "loaded state");
+    }
+
+    proptest::proptest! {
+        /// Epoch read-set soundness over randomized requests: replay with
+        /// unchanged read-set epochs is bit-identical; any touched read
+        /// cell conflicts.
+        #[test]
+        fn prop_epoch_read_set_is_sound(
+            seed in 0u64..48,
+            tight in proptest::bool::ANY,
+        ) {
+            // Tight: a battery regime where a request's early slots eat the
+            // solar input its late slots counted on.
+            let energy = if tight {
+                EnergyParams { solar_harvest_w: 5.0, battery_capacity_j: 9_000.0, ..Default::default() }
+            } else {
+                EnergyParams::default()
+            };
+            let (state, src, dst) = build_state_with(4, &energy);
+            let mut z = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let rate = 200.0 + (z % 1700) as f64;
+            let start = (z >> 16) as u32 % 4;
+            let end = start + ((z >> 24) as u32 % (4 - start));
+            let valuation = if z % 5 == 0 { 1e-9 } else { f64::MAX };
+            let req = request(src, dst, rate, start, end, valuation);
+            assert_read_set_sound(&req, &state, &format!("seed {seed}"));
         }
     }
 

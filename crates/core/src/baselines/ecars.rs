@@ -12,7 +12,7 @@ use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
 use crate::baselines::{edge_battery_utilization, route_and_commit, route_plan, DELAY_NORM_M};
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::sptcache::{model_key, ModelSpec, SearchKind};
+use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 use serde::{Deserialize, Serialize};
@@ -85,20 +85,6 @@ impl Ecars {
     pub fn factors(&self) -> &EcarsFactors {
         &self.factors
     }
-
-    /// Congestion and energy factors read the reservation state, so the
-    /// weights move on every commit: `volatile` (no SPT caching).
-    fn model(&self) -> ModelSpec {
-        ModelSpec {
-            key: model_key(2, &factor_bits(&self.factors)),
-            floor: factor_floor(&self.factors),
-            volatile: true,
-        }
-    }
-}
-
-pub(crate) fn factor_bits(f: &EcarsFactors) -> [u64; 3] {
-    [f.congestion.to_bits(), f.energy.to_bits(), f.delay.to_bits()]
 }
 
 /// The per-edge cost floor of the linear metric: [`HOP_EPSILON`] when all
@@ -119,11 +105,17 @@ impl RoutingAlgorithm for Ecars {
 
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let factors = self.factors;
-        route_and_commit(request, state, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
-            let lambda_s = edge_battery_utilization(ctx, slot, st);
-            Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
-        })
+        route_and_commit(
+            request,
+            state,
+            self.search,
+            factor_floor(&self.factors),
+            |ctx, slot, st| {
+                let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
+                let lambda_s = edge_battery_utilization(ctx, slot, st);
+                Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
+            },
+        )
     }
 
     fn quote_plan(
@@ -133,11 +125,18 @@ impl RoutingAlgorithm for Ecars {
         known: Option<&KnownFailures>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let factors = self.factors;
-        route_plan(request, state, known, self.search, self.model(), |ctx, slot, st| {
-            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
-            let lambda_s = edge_battery_utilization(ctx, slot, st);
-            Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
-        })
+        route_plan(
+            request,
+            state,
+            known,
+            self.search,
+            factor_floor(&self.factors),
+            |ctx, slot, st| {
+                let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
+                let lambda_s = edge_battery_utilization(ctx, slot, st);
+                Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
+            },
+        )
         .map(|p| (p, 0.0))
     }
 }

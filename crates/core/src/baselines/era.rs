@@ -6,13 +6,13 @@
 //! in the paper — steering traffic away without forbidding it.
 
 use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
-use crate::baselines::ecars::{factor_bits, factor_floor, EcarsFactors};
+use crate::baselines::ecars::{factor_floor, EcarsFactors};
 use crate::baselines::{
     edge_battery_deficit_j, edge_battery_utilization, route_and_commit, route_plan,
 };
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::sptcache::{model_key, ModelSpec, SearchKind};
+use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
@@ -71,15 +71,8 @@ impl Era {
 
     /// Both factor profiles include the additive hop epsilon, so the floor
     /// is the smaller of the two profiles' floors.
-    fn model(&self) -> ModelSpec {
-        let mut bits = factor_bits(&self.base).to_vec();
-        bits.extend_from_slice(&factor_bits(&self.hot));
-        bits.push(self.threshold_frac.to_bits());
-        ModelSpec {
-            key: model_key(4, &bits),
-            floor: factor_floor(&self.base).min(factor_floor(&self.hot)),
-            volatile: true,
-        }
+    fn floor(&self) -> f64 {
+        factor_floor(&self.base).min(factor_floor(&self.hot))
     }
 }
 
@@ -91,7 +84,7 @@ impl RoutingAlgorithm for Era {
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_and_commit(request, state, self.search, self.model(), |ctx, slot, st| {
+        route_and_commit(request, state, self.search, self.floor(), |ctx, slot, st| {
             let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =
@@ -108,7 +101,7 @@ impl RoutingAlgorithm for Era {
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_plan(request, state, known, self.search, self.model(), |ctx, slot, st| {
+        route_plan(request, state, known, self.search, self.floor(), |ctx, slot, st| {
             let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =

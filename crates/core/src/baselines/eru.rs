@@ -8,13 +8,13 @@
 //! difficult and lowering the social welfare ratio".
 
 use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
-use crate::baselines::ecars::{factor_bits, factor_floor, EcarsFactors};
+use crate::baselines::ecars::{factor_floor, EcarsFactors};
 use crate::baselines::{
     edge_battery_deficit_j, edge_battery_utilization, route_and_commit, route_plan,
 };
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::sptcache::{model_key, ModelSpec, SearchKind};
+use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
@@ -69,10 +69,8 @@ impl Eru {
 
     /// Pruning only removes edges, so the surviving edges keep the ECARS
     /// floor — the heuristic stays admissible.
-    fn model(&self) -> ModelSpec {
-        let mut bits = factor_bits(&self.factors).to_vec();
-        bits.push(self.threshold_frac.to_bits());
-        ModelSpec { key: model_key(3, &bits), floor: factor_floor(&self.factors), volatile: true }
+    fn floor(&self) -> f64 {
+        factor_floor(&self.factors)
     }
 }
 
@@ -84,7 +82,7 @@ impl RoutingAlgorithm for Eru {
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let factors = self.factors;
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_and_commit(request, state, self.search, self.model(), |ctx, slot, st| {
+        route_and_commit(request, state, self.search, self.floor(), |ctx, slot, st| {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }
@@ -102,7 +100,7 @@ impl RoutingAlgorithm for Eru {
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let factors = self.factors;
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_plan(request, state, known, self.search, self.model(), |ctx, slot, st| {
+        route_plan(request, state, known, self.search, self.floor(), |ctx, slot, st| {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }

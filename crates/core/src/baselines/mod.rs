@@ -35,42 +35,30 @@ use crate::algorithm::{Decision, RejectReason};
 use crate::lifecycle::KnownFailures;
 use crate::plan::{ReservationPlan, SlotPath};
 use crate::search::{
-    min_cost_path_in, min_cost_path_with, EdgeContext, HopBoundHeuristic, SearchScratch,
-};
-use crate::sptcache::{
-    baseline_route_slot, spt_cache_disabled, GeomCache, ModelSpec, SearchKind, SptCache, UNIT_SLACK,
+    min_cost_path_in, min_cost_path_with, EdgeContext, GeomCache, HopBoundHeuristic, SearchKind,
+    SearchScratch, UNIT_SLACK,
 };
 use crate::state::NetworkState;
 use sb_demand::Request;
 use sb_topology::SlotIndex;
 use std::cell::RefCell;
 
-const BASELINE_SPT_CAP: usize = 4096;
-
 thread_local! {
     /// One search arena per thread, shared by every baseline: the per-slot
     /// searches of all baseline calls on a thread reuse the same buffers
     /// (see [`SearchScratch`]), which is bit-transparent to the results.
     static BASELINE_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-    /// One SPT cache per thread, shared by every baseline on it: entries
-    /// carry their cost model in the key and self-validate against state
-    /// generations (process-unique), so sharing across states and sweep
-    /// cells is sound. The capacity covers a sweep's working set of
-    /// `(slot, source, model)` keys — a tight cap thrashes the LRU long
-    /// before memory matters (entries are tens of KB).
-    static BASELINE_SPT: RefCell<SptCache> = RefCell::new(SptCache::new(BASELINE_SPT_CAP));
     /// Per-thread hop-bound geometry for the A\* heuristic.
     static BASELINE_GEOM: RefCell<GeomCache> = RefCell::new(GeomCache::default());
 }
 
 /// Drops everything the calling thread's baseline caches hold: the search
-/// arena, every stored tree and hop bound, and the `Arc<TopologySeries>`
-/// the SPT and geometry caches anchor on. They refill on the next baseline
-/// call; a run releases them when it ends so that its topology and trees
-/// do not stay pinned until the thread happens to route another baseline.
+/// arena, every hop bound, and the `Arc<TopologySeries>` the geometry cache
+/// anchors on. They refill on the next baseline call; a run releases them
+/// when it ends so that its topology does not stay pinned until the thread
+/// happens to route another baseline.
 pub fn release_thread_caches() {
     BASELINE_SCRATCH.with(|cell| *cell.borrow_mut() = SearchScratch::new());
-    BASELINE_SPT.with(|cell| *cell.borrow_mut() = SptCache::new(BASELINE_SPT_CAP));
     BASELINE_GEOM.with(|cell| *cell.borrow_mut() = GeomCache::default());
 }
 
@@ -79,18 +67,15 @@ pub fn release_thread_caches() {
 /// the weight function runs) without committing anything. Baselines are
 /// price-oblivious, so the plan's `total_cost` is zero.
 ///
-/// `search` picks the kernel: the reference Dijkstra, or goal-directed
-/// A\* backed by the per-thread SPT cache (bitwise identical results —
-/// see [`crate::sptcache`]). The SPT path is skipped for volatile cost
-/// models (commit-churned weights invalidate their trees faster than
-/// they can be reused) and when a known-failure overlay is active:
-/// pruned edges are not part of the cached transcripts.
+/// `search` picks the kernel: the reference Dijkstra, or A\* goal-directed
+/// by hop bound × `floor`, a lower bound on any single edge weight of the
+/// cost model (bitwise identical results — see [`SearchKind`]).
 pub(crate) fn route_plan(
     request: &Request,
     state: &NetworkState,
     known: Option<&KnownFailures>,
     search: SearchKind,
-    model: ModelSpec,
+    floor: f64,
     mut weight_fn: impl FnMut(&EdgeContext<'_>, SlotIndex, &NetworkState) -> Option<f64>,
 ) -> Result<ReservationPlan, RejectReason> {
     BASELINE_SCRATCH.with(|cell| {
@@ -99,61 +84,32 @@ pub(crate) fn route_plan(
         for slot in request.active_slots() {
             let rate = request.rate_at(slot);
             let snapshot = state.series().snapshot(slot);
-            let use_spt = search == SearchKind::Astar
-                && !model.volatile
-                && known.is_none()
-                && !spt_cache_disabled();
-            let found = if use_spt {
-                BASELINE_SPT.with(|spt| {
-                    baseline_route_slot(
-                        &mut spt.borrow_mut(),
-                        scratch,
-                        state,
-                        slot,
-                        request.source,
-                        request.destination,
-                        rate,
-                        model,
-                        &mut weight_fn,
-                    )
-                })
-            } else {
-                let full = |ctx: &EdgeContext<'_>| {
-                    if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
-                        return None;
-                    }
-                    if state.residual_of(slot, ctx.edge_id, ctx.edge.capacity_mbps) + 1e-9 < rate {
-                        return None;
-                    }
-                    weight_fn(ctx, slot, state)
-                };
-                match search {
-                    SearchKind::Reference => min_cost_path_in(
+            let full = |ctx: &EdgeContext<'_>| {
+                if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
+                    return None;
+                }
+                if state.residual_of(slot, ctx.edge_id, ctx.edge.capacity_mbps) + 1e-9 < rate {
+                    return None;
+                }
+                weight_fn(ctx, slot, state)
+            };
+            let found = match search {
+                SearchKind::Reference => {
+                    min_cost_path_in(scratch, snapshot, request.source, request.destination, full)
+                }
+                SearchKind::Astar => {
+                    let hops = BASELINE_GEOM.with(|geom| {
+                        geom.borrow_mut().hop_bounds(state.series_arc(), slot, request.destination)
+                    });
+                    let heuristic = HopBoundHeuristic { hops_lb: &hops, unit: floor * UNIT_SLACK };
+                    min_cost_path_with(
                         scratch,
                         snapshot,
                         request.source,
                         request.destination,
+                        &heuristic,
                         full,
-                    ),
-                    SearchKind::Astar => {
-                        let hops = BASELINE_GEOM.with(|geom| {
-                            geom.borrow_mut().hop_bounds(
-                                state.series_arc(),
-                                slot,
-                                request.destination,
-                            )
-                        });
-                        let heuristic =
-                            HopBoundHeuristic { hops_lb: &hops, unit: model.floor * UNIT_SLACK };
-                        min_cost_path_with(
-                            scratch,
-                            snapshot,
-                            request.source,
-                            request.destination,
-                            &heuristic,
-                            full,
-                        )
-                    }
+                    )
                 }
             };
             match found {
@@ -171,10 +127,10 @@ pub(crate) fn route_and_commit(
     request: &Request,
     state: &mut NetworkState,
     search: SearchKind,
-    model: ModelSpec,
+    floor: f64,
     weight_fn: impl FnMut(&EdgeContext<'_>, SlotIndex, &NetworkState) -> Option<f64>,
 ) -> Decision {
-    let plan = match route_plan(request, state, None, search, model, weight_fn) {
+    let plan = match route_plan(request, state, None, search, floor, weight_fn) {
         Ok(plan) => plan,
         Err(reason) => return Decision::Rejected { reason },
     };

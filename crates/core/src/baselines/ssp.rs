@@ -10,7 +10,7 @@ use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
 use crate::baselines::{route_and_commit, route_plan};
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::sptcache::{model_key, ModelSpec, SearchKind};
+use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
@@ -31,14 +31,11 @@ impl Ssp {
         self.search = search;
         self
     }
-
-    /// Every hop costs exactly 1, so 1.0 is also the exact per-edge floor.
-    /// Hop counts read no reservation state, so SSP's trees survive
-    /// commits and the SPT cache applies (`volatile: false`).
-    fn model(&self) -> ModelSpec {
-        ModelSpec { key: model_key(1, &[]), floor: 1.0, volatile: false }
-    }
 }
+
+/// Every hop costs exactly this, so it is also the exact per-edge cost floor
+/// the A\* heuristic builds on.
+const HOP_COST: f64 = 1.0;
 
 impl RoutingAlgorithm for Ssp {
     fn name(&self) -> &'static str {
@@ -46,7 +43,9 @@ impl RoutingAlgorithm for Ssp {
     }
 
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
-        route_and_commit(request, state, self.search, self.model(), |_ctx, _slot, _state| Some(1.0))
+        route_and_commit(request, state, self.search, HOP_COST, |_ctx, _slot, _state| {
+            Some(HOP_COST)
+        })
     }
 
     fn quote_plan(
@@ -55,8 +54,8 @@ impl RoutingAlgorithm for Ssp {
         state: &NetworkState,
         known: Option<&KnownFailures>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
-        route_plan(request, state, known, self.search, self.model(), |_ctx, _slot, _state| {
-            Some(1.0)
+        route_plan(request, state, known, self.search, HOP_COST, |_ctx, _slot, _state| {
+            Some(HOP_COST)
         })
         .map(|p| (p, 0.0))
     }

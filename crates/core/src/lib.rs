@@ -30,19 +30,14 @@
 //!   competitive ratio;
 //! * [`pricing`] — the exponential price functions (Eqs. 8–12);
 //! * [`pricecache`] — memoized unit prices keyed on state change epochs
-//!   (the hot-path `powf` becomes a table read, bit-identically);
+//!   (the hot-path `powf` becomes a table read, bit-identically), plus the
+//!   per-slot price memos of the quote search;
 //! * [`state`] — mutable network state: per-slot bandwidth reservations
 //!   plus the satellite energy ledger, with atomic plan commits;
 //! * [`search`] — the per-slot min-cost path search over
 //!   (node × link-type) states, generic over an admissible A\* heuristic
-//!   (`ZeroHeuristic` is the reference Dijkstra);
-//! * [`sptcache`] — search acceleration: goal-direction geometry caches
-//!   and the epoch-validated shortest-path-tree cache, both bitwise
-//!   transparent;
-//! * [`parquote`] — speculative slot-parallel quoting: per-slot searches
-//!   fan across workers against the base ledger, then an overlay replay
-//!   validates each slot's deficit traces bitwise (bit-identical to the
-//!   serial quote, with a serial fallback from the first divergence);
+//!   (`ZeroHeuristic` is the reference Dijkstra), and the hop-bound
+//!   geometry that goal-directs it, bitwise transparently;
 //! * [`plan`] — reservation plans and role extraction;
 //! * [`algorithm`] — the [`RoutingAlgorithm`] trait and [`Cear`] itself;
 //! * [`adaptive`] — the §V-B feedback loop that retunes `F₂` from
@@ -104,26 +99,67 @@ pub mod lifecycle;
 pub mod multipath;
 pub mod offline;
 pub mod params;
-pub mod parquote;
 pub mod plan;
 pub mod pricecache;
 pub mod pricing;
 pub mod search;
-pub mod sptcache;
 pub mod state;
 
 pub use adaptive::{AdaptiveCear, AdaptivePolicy};
-pub use algorithm::{AblationFlags, Cear, Decision, RejectReason, RoutingAlgorithm};
+pub use algorithm::{AblationFlags, Cear, Decision, QuoteStats, RejectReason, RoutingAlgorithm};
 pub use audit::{audit, AuditReport, AuditViolation};
 pub use baselines::{Ecars, Era, Eru, Ssp};
 pub use lifecycle::{repair, try_repair, KnownFailures, RepairOutcome, RepairPolicy};
 pub use multipath::MultipathCear;
 pub use params::CearParams;
-pub use parquote::QuoteStats;
 pub use plan::{ReservationPlan, SlotPath};
 pub use pricecache::PriceCache;
-pub use search::{SearchScratch, SearchStats};
-pub use sptcache::{
-    global_spt_stats, reset_global_spt_stats, spt_cache_disabled, SearchKind, SptStats,
-};
+pub use search::{SearchKind, SearchScratch, SearchStats};
 pub use state::{BookingId, CommitError, EpochReadSet, NetworkState};
+
+// ---- Compatibility with the frozen `crates/benchmark` ------------------
+//
+// The shortest-path-tree cache and speculative slot-parallel quoting are
+// deleted (EXPERIMENTS.md, "Removed: the SPT cache and speculative
+// quoting"), but `crates/benchmark` still reports `core.spt_*` and
+// `core.parquote_*` through the names below and may only change in a PR
+// of its own. Until then they are inert: the counters read 0 and the
+// thread count is ignored, so `core.spt_hit_frac` is 0 and
+// `core.parquote_speedup` ≈ 1, which is what is true. Follow-up
+// (`benchmark` archetype): drop `core.spt_*` and `core.parquote_*` from
+// BENCHMARK.json, then delete this block, the three hidden fields of
+// `QuoteStats` and `ExecOptions::quote_threads` in `sb-sim`.
+
+/// Always zero: there is no tree cache to count.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SptStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub deferred: u64,
+}
+
+impl SptStats {
+    #[doc(hidden)]
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses + self.deferred
+    }
+}
+
+/// Always zero.
+#[doc(hidden)]
+pub fn global_spt_stats() -> SptStats {
+    SptStats::default()
+}
+
+/// Does nothing.
+#[doc(hidden)]
+pub fn reset_global_spt_stats() {}
+
+impl Cear {
+    /// Ignores `threads`: every quote is serial.
+    #[doc(hidden)]
+    pub fn with_quote_threads(self, _threads: usize) -> Self {
+        self
+    }
+}

@@ -11,11 +11,17 @@
 //! which advance only on reservation commit, release and repair (repair is
 //! release + commit). A hit returns the exact `f64` computed earlier with
 //! identical inputs, so cached quotes are bit-identical to uncached ones.
+//!
+//! Two per-slot memos of the quote search live beside it:
+//! `MinUnitPriceCache` (the price floor of the A\* heuristic) and
+//! `EnergyPriceCache` (one Eq. 12 deficit pricing per `(satellite, role)`).
 
 use crate::pricing;
 use crate::state::NetworkState;
+use sb_energy::SatelliteRole;
 use sb_topology::graph::EdgeId;
 use sb_topology::SlotIndex;
+use std::collections::HashMap;
 
 /// One memoized unit price. `stamp` holds the epoch of the state cell the
 /// price was computed against; the process-wide epoch source starts at 1,
@@ -37,13 +43,6 @@ const EMPTY: CacheCell = CacheCell { stamp: 0, price: 0.0 };
 /// holds the value the price was computed from — even across state clones
 /// or a different state of the same shape. The cache is an acceleration
 /// only; one instance must simply never mix `μ` parameterizations.
-///
-/// The same property makes *per-worker* instances sound: the speculative
-/// slot-parallel quote (`crate::parquote`) gives every worker its own
-/// `PriceCache`, and no matter how slots are distributed across workers,
-/// each instance either recomputes a price from identical inputs or
-/// returns the identical `f64` it computed earlier — bit-identical
-/// regardless of the slot→worker assignment.
 #[derive(Debug, Clone)]
 pub struct PriceCache {
     mu1: f64,
@@ -117,6 +116,116 @@ impl PriceCache {
         if cell.stamp != epoch {
             cell.price = pricing::unit_price(self.mu2, state.ledger().battery_utilization(sat, t));
             cell.stamp = epoch;
+        }
+        cell.price
+    }
+}
+
+/// Per-slot minimum link unit price, validated against the slot's
+/// bandwidth generation — the state-dependent part of CEAR's A\* heuristic
+/// floor, recomputed only when the slot's reservations change.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MinUnitPriceCache {
+    map: HashMap<u32, (u64, f64)>,
+}
+
+impl MinUnitPriceCache {
+    /// The minimum unit price over every edge of the slot (≥ 0; 0 when
+    /// the slot has no edges).
+    pub(crate) fn min_unit_price(
+        &mut self,
+        state: &NetworkState,
+        slot: SlotIndex,
+        prices: &mut PriceCache,
+    ) -> f64 {
+        let gen = state.slot_bandwidth_gen(slot);
+        if let Some(&(cached_gen, value)) = self.map.get(&slot.0) {
+            if cached_gen == gen {
+                return value;
+            }
+        }
+        let num_edges = state.series().snapshot(slot).num_edges();
+        let mut min = f64::INFINITY;
+        for id in 0..num_edges as u32 {
+            min = min.min(prices.link_unit_price(state, slot, EdgeId(id)));
+        }
+        let value = if min.is_finite() { min.max(0.0) } else { 0.0 };
+        self.map.insert(slot.0, (gen, value));
+        value
+    }
+}
+
+/// Index of a role in the flat [`EnergyPriceCache`] (4 variants).
+#[inline]
+fn role_index(role: SatelliteRole) -> usize {
+    match role {
+        SatelliteRole::Middle => 0,
+        SatelliteRole::IngressGateway => 1,
+        SatelliteRole::EgressGateway => 2,
+        SatelliteRole::BentPipe => 3,
+    }
+}
+
+/// One memoized per-slot energy evaluation.
+#[derive(Debug, Clone, Copy)]
+struct EnergyCell {
+    stamp: u32,
+    /// The Eq. (12) deficit price, `None` when the battery cannot absorb
+    /// the consumption (constraint 7c).
+    price: Option<f64>,
+}
+
+const EMPTY_ENERGY: EnergyCell = EnergyCell { stamp: 0, price: None };
+
+/// The per-slot `(satellite, role) → Option<price>` energy memo of the
+/// quote search, as a generation-stamped flat array.
+///
+/// The search queries the same satellite in the same role many times per
+/// slot (once per out-edge relaxation); the memo makes each distinct pair
+/// cost one deficit-trace recursion. The array lives across quotes, and
+/// starting a new slot is O(1): bump the generation, exactly like
+/// [`SearchScratch`](crate::search::SearchScratch)'s arena reset. Each pair
+/// is computed exactly once per slot, in first-query order, so quotes are
+/// bit-identical to an unmemoized search.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EnergyPriceCache {
+    /// `sat * 4 + role_index(role)`; entry valid iff its stamp matches the
+    /// current generation.
+    cells: Vec<EnergyCell>,
+    generation: u32,
+}
+
+impl EnergyPriceCache {
+    /// Starts a new slot: grows to `num_satellites` satellites if needed
+    /// and invalidates every entry by advancing the generation.
+    pub(crate) fn begin_slot(&mut self, num_satellites: usize) {
+        let n = num_satellites * 4;
+        if self.cells.len() < n {
+            self.cells.resize(n, EMPTY_ENERGY);
+        }
+        self.generation = match self.generation.checked_add(1) {
+            Some(g) => g,
+            None => {
+                // Wrapped after 2^32 slots: restamp everything once.
+                self.cells.fill(EMPTY_ENERGY);
+                1
+            }
+        };
+    }
+
+    /// The memoized energy evaluation of `(sat, role)` for the current
+    /// slot, computing it with `f` on first query.
+    #[inline]
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        sat: usize,
+        role: SatelliteRole,
+        f: impl FnOnce() -> Option<f64>,
+    ) -> Option<f64> {
+        let cell = &mut self.cells[sat * 4 + role_index(role)];
+        if cell.stamp != self.generation {
+            cell.price = f();
+            cell.stamp = self.generation;
         }
         cell.price
     }
@@ -297,5 +406,31 @@ mod tests {
             );
         }
         assert!(cache.link_unit_price(&a, slot, e) < cache.link_unit_price(&b, slot, e));
+    }
+
+    #[test]
+    fn energy_price_cache_generations_isolate_slots() {
+        let mut cache = EnergyPriceCache::default();
+        cache.begin_slot(2);
+        let mut calls = 0;
+        let v = cache.get_or_insert_with(1, SatelliteRole::Middle, || {
+            calls += 1;
+            Some(2.5)
+        });
+        assert_eq!(v, Some(2.5));
+        // Hit: the closure must not run again within the slot.
+        let v = cache.get_or_insert_with(1, SatelliteRole::Middle, || {
+            calls += 1;
+            Some(9.9)
+        });
+        assert_eq!(v, Some(2.5));
+        assert_eq!(calls, 1);
+        // Distinct role, same satellite: its own cell.
+        let v = cache.get_or_insert_with(1, SatelliteRole::BentPipe, || None);
+        assert_eq!(v, None);
+        // New slot invalidates everything in O(1).
+        cache.begin_slot(2);
+        let v = cache.get_or_insert_with(1, SatelliteRole::Middle, || Some(7.0));
+        assert_eq!(v, Some(7.0));
     }
 }

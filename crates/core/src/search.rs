@@ -20,9 +20,44 @@
 //!   over-draw, link pruning à la ERU).
 
 use sb_topology::graph::{Edge, EdgeId};
-use sb_topology::{LinkType, NodeId, SlotIndex, TopologySnapshot};
+use sb_topology::{LinkType, NodeId, SlotIndex, TopologySeries, TopologySnapshot};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
+
+/// Which search kernel an algorithm instance runs.
+///
+/// Both kinds return bitwise-identical `FoundPath`s (proven by property
+/// tests); they differ only in how much of the frontier they explore.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SearchKind {
+    /// Plain Dijkstra (the `ZeroHeuristic` instantiation).
+    Reference,
+    /// Goal-directed A\* with the hop-bound heuristic.
+    #[default]
+    Astar,
+}
+
+impl std::str::FromStr for SearchKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "reference" => Ok(SearchKind::Reference),
+            "astar" => Ok(SearchKind::Astar),
+            other => Err(format!("unknown search kind '{other}' (expected reference|astar)")),
+        }
+    }
+}
+
+impl std::fmt::Display for SearchKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SearchKind::Reference => "reference",
+            SearchKind::Astar => "astar",
+        })
+    }
+}
 
 /// Everything a cost model gets to see when an edge is relaxed.
 #[derive(Debug)]
@@ -111,6 +146,82 @@ impl Heuristic for HopBoundHeuristic<'_> {
     }
 }
 
+/// Relative slack applied to per-hop cost floors before they enter the
+/// heuristic, so floating-point rounding in `hops × unit` can never tip an
+/// exact lower bound into inadmissibility.
+pub(crate) const UNIT_SLACK: f64 = 1.0 - 1e-9;
+
+/// Per-`TopologySeries` geometry for the hop-bound heuristic: the longest
+/// edge reach per slot and, per `(slot, destination)`, the conservative
+/// per-node hop lower bounds (straight-line distance over the slot's
+/// longest edge, slack-rounded so float noise can never overestimate).
+/// Anchored on the series `Arc` identity (the held clone keeps the
+/// allocation alive, so pointer equality cannot alias two different
+/// series).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GeomCache {
+    anchor: Option<Arc<TopologySeries>>,
+    reach: HashMap<u32, f64>,
+    hops: HashMap<(u32, u32), Arc<Vec<u32>>>,
+}
+
+impl GeomCache {
+    fn ensure_anchor(&mut self, series: &Arc<TopologySeries>) {
+        let stale = match &self.anchor {
+            Some(a) => !Arc::ptr_eq(a, series),
+            None => true,
+        };
+        if stale {
+            self.anchor = Some(Arc::clone(series));
+            self.reach.clear();
+            self.hops.clear();
+        }
+    }
+
+    /// The slot's maximum per-hop reach: the longest straight-line
+    /// endpoint distance over all edges in the snapshot.
+    fn max_hop_reach_m(&mut self, series: &Arc<TopologySeries>, slot: SlotIndex) -> f64 {
+        self.ensure_anchor(series);
+        *self.reach.entry(slot.0).or_insert_with(|| {
+            let snapshot = series.snapshot(slot);
+            let mut reach = 0.0f64;
+            for edge in snapshot.edges() {
+                let span = snapshot.position(edge.src).distance(snapshot.position(edge.dst));
+                reach = reach.max(span);
+            }
+            reach
+        })
+    }
+
+    /// Per-node hop lower bounds toward `destination` in `slot`.
+    pub(crate) fn hop_bounds(
+        &mut self,
+        series: &Arc<TopologySeries>,
+        slot: SlotIndex,
+        destination: NodeId,
+    ) -> Arc<Vec<u32>> {
+        self.ensure_anchor(series);
+        if let Some(bounds) = self.hops.get(&(slot.0, destination.0)) {
+            return Arc::clone(bounds);
+        }
+        if self.hops.len() >= 8192 {
+            self.hops.clear();
+        }
+        let reach = self.max_hop_reach_m(series, slot);
+        let snapshot = series.snapshot(slot);
+        let goal = snapshot.position(destination);
+        let bounds: Vec<u32> = (0..snapshot.num_nodes())
+            .map(|i| {
+                let here = snapshot.position(NodeId(i as u32));
+                sb_geo::conservative_hop_count(here.distance(goal), reach)
+            })
+            .collect();
+        let bounds = Arc::new(bounds);
+        self.hops.insert((slot.0, destination.0), Arc::clone(&bounds));
+        bounds
+    }
+}
+
 /// Per-search work counters, accumulated in [`SearchScratch`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
@@ -196,9 +307,6 @@ fn incoming_of_state(state: usize) -> LinkType {
 /// Reusing one scratch is **bit-identical** to fresh allocation: the same
 /// relaxations run in the same order against the same (logical) initial
 /// state, which `tests::prop_scratch_reuse_is_bit_identical` checks.
-/// The speculative slot-parallel quote (`crate::parquote`) pools one
-/// scratch per worker on exactly this property — any worker's arena
-/// reproduces a fresh search for whatever slot it pulls next.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     dist: Vec<f64>,
@@ -261,8 +369,8 @@ impl SearchScratch {
     ///
     /// Tie-breaking on the *key* rather than arrival order is what makes
     /// the final predecessor array independent of expansion order — the
-    /// property that lets A\* and settled-tree reads reproduce the
-    /// reference Dijkstra's [`FoundPath`] bit-for-bit.
+    /// property that lets A\* reproduce the reference Dijkstra's
+    /// [`FoundPath`] bit-for-bit.
     #[inline]
     fn offer(&mut self, state: usize, cost: f64, pred: (usize, EdgeId)) -> bool {
         if self.stamp[state] != self.generation {
@@ -292,24 +400,6 @@ impl SearchScratch {
     /// The accumulated [`SearchStats`] without resetting them.
     pub fn stats(&self) -> SearchStats {
         self.stats
-    }
-
-    /// Copies the settled state out into a standalone [`SettledTree`];
-    /// unsettled states get `INFINITY` / source-marker predecessors.
-    fn export_tree(
-        &self,
-        n_states: usize,
-        user_edges: Vec<(EdgeId, usize, NodeId)>,
-    ) -> SettledTree {
-        let mut dist = vec![f64::INFINITY; n_states];
-        let mut pred = vec![(usize::MAX, EdgeId(0)); n_states];
-        for s in 0..n_states {
-            if self.stamp[s] == self.generation {
-                dist[s] = self.dist[s];
-                pred[s] = self.pred[s];
-            }
-        }
-        SettledTree { dist, pred, user_edges }
     }
 }
 
@@ -486,179 +576,6 @@ pub fn min_cost_path_with<H: Heuristic>(
     nodes.reverse();
     edges.reverse();
     Some(FoundPath { nodes, edges, cost: scratch.dist(final_state) })
-}
-
-/// A fully settled shortest-path tree from one source in one snapshot,
-/// exported from a [`settle_tree_in`] run.
-///
-/// `dist[s]` / `pred[s]` are the final Dijkstra arrays over states
-/// (`INFINITY` / source marker when unreachable). `user_edges` lists every
-/// edge into a user node the settle skipped, as `(edge_id, from_state,
-/// user)` with `from_state == usize::MAX` for the source's own out-edges —
-/// the candidates [`path_via_tree`] evaluates to answer a concrete
-/// destination query without re-running the search; it looks up only
-/// those whose `user` is the destination.
-#[derive(Debug, Clone)]
-pub struct SettledTree {
-    /// Final settled cost per state.
-    pub dist: Vec<f64>,
-    /// Final predecessor per state: (previous state or `usize::MAX`, edge).
-    pub pred: Vec<(usize, EdgeId)>,
-    /// Edges into user nodes: (edge id, settled origin state, the user).
-    pub user_edges: Vec<(EdgeId, usize, NodeId)>,
-}
-
-/// Runs the reference search from `source` with **no destination** until
-/// the heap is exhausted, settling every reachable satellite state, and
-/// exports the tree. Edges into user nodes are recorded (not relaxed, and
-/// their cost model is *not* consulted — destination queries evaluate them
-/// fresh against the then-current state).
-///
-/// Because predecessor ties are broken canonically, reading this tree via
-/// [`path_via_tree`] reproduces a direct [`min_cost_path_in`] call
-/// bit-for-bit for every destination, as long as the cost model gives the
-/// same answers it gave during the settle.
-pub fn settle_tree_in(
-    scratch: &mut SearchScratch,
-    snapshot: &TopologySnapshot,
-    source: NodeId,
-    mut cost_fn: impl FnMut(&EdgeContext<'_>) -> Option<f64>,
-) -> SettledTree {
-    let slot = snapshot.slot();
-    let n_states = snapshot.num_nodes() * 2;
-    scratch.begin(n_states);
-    let mut user_edges = Vec::new();
-
-    for (edge_id, edge) in snapshot.out_edges(source) {
-        if snapshot.kind(edge.dst).is_user() {
-            user_edges.push((edge_id, usize::MAX, edge.dst));
-            continue;
-        }
-        let ctx = EdgeContext { slot, edge_id, edge: &edge, incoming: None };
-        if let Some(cost) = cost_fn(&ctx) {
-            debug_assert!(cost >= 0.0, "negative edge cost {cost}");
-            scratch.stats.relaxations += 1;
-            let state = state_of(edge.dst, edge.link_type);
-            if scratch.offer(state, cost, (usize::MAX, edge_id)) {
-                scratch.heap.push(HeapEntry { f: cost, g: cost, state });
-            }
-        }
-    }
-
-    while let Some(HeapEntry { f: _, g, state }) = scratch.heap.pop() {
-        scratch.stats.pops += 1;
-        if g > scratch.dist(state) {
-            scratch.stats.stale_skips += 1;
-            continue;
-        }
-        let g = scratch.dist(state);
-        let incoming = incoming_of_state(state);
-        for (edge_id, edge) in snapshot.out_edges(node_of_state(state)) {
-            if edge.dst == source {
-                continue;
-            }
-            if snapshot.kind(edge.dst).is_user() {
-                user_edges.push((edge_id, state, edge.dst));
-                continue;
-            }
-            let ctx = EdgeContext { slot, edge_id, edge: &edge, incoming: Some(incoming) };
-            let Some(step) = cost_fn(&ctx) else { continue };
-            debug_assert!(step >= 0.0, "negative edge cost {step}");
-            scratch.stats.relaxations += 1;
-            let next = state_of(edge.dst, edge.link_type);
-            let next_cost = g + step;
-            if scratch.offer(next, next_cost, (state, edge_id)) {
-                scratch.heap.push(HeapEntry { f: next_cost, g: next_cost, state: next });
-            }
-        }
-    }
-
-    scratch.export_tree(n_states, user_edges)
-}
-
-/// Answers one `(source, destination)` query from a [`SettledTree`]:
-/// evaluates the destination's candidate in-edges (fresh, via `cost_fn`)
-/// against the settled tree and picks the winner under exactly the
-/// canonical rules of [`min_cost_path_with`]. Returns the bit-identical
-/// [`FoundPath`] a direct search would have produced.
-pub fn path_via_tree(
-    tree: &SettledTree,
-    snapshot: &TopologySnapshot,
-    source: NodeId,
-    destination: NodeId,
-    mut cost_fn: impl FnMut(&EdgeContext<'_>) -> Option<f64>,
-) -> Option<FoundPath> {
-    if source == destination {
-        return None;
-    }
-    let slot = snapshot.slot();
-    // Best (cost, pred) per destination state, tie-broken like offer().
-    let mut best: [Option<(f64, (usize, EdgeId))>; 2] = [None, None];
-    for &(edge_id, from_state, user) in &tree.user_edges {
-        if user != destination {
-            continue;
-        }
-        let edge = snapshot.edge(edge_id);
-        let (g0, incoming) = if from_state == usize::MAX {
-            (0.0, None)
-        } else {
-            let d = tree.dist[from_state];
-            if d.is_infinite() {
-                continue;
-            }
-            (d, Some(incoming_of_state(from_state)))
-        };
-        let ctx = EdgeContext { slot, edge_id, edge: &edge, incoming };
-        let Some(step) = cost_fn(&ctx) else { continue };
-        debug_assert!(step >= 0.0, "negative edge cost {step}");
-        let g = if from_state == usize::MAX { step } else { g0 + step };
-        let pred = (from_state, edge_id);
-        let slot_idx = usize::from(edge.link_type == LinkType::Usl);
-        best[slot_idx] = Some(match best[slot_idx] {
-            None => (g, pred),
-            Some((bg, bp)) => match g.total_cmp(&bg) {
-                Ordering::Less => (g, pred),
-                Ordering::Equal => (bg, bp.min(pred)),
-                Ordering::Greater => (bg, bp),
-            },
-        });
-    }
-
-    // Canonical destination-state selection: bitwise-cheapest cost, then
-    // the smaller state id (Isl state = 2·node < Usl state = 2·node+1).
-    let mut winner: Option<(f64, usize, (usize, EdgeId))> = None;
-    for (i, entry) in best.iter().enumerate() {
-        let Some((g, pred)) = *entry else { continue };
-        let state = destination.index() * 2 + i;
-        winner = Some(match winner {
-            None => (g, state, pred),
-            Some((bg, bs, bp)) => match g.total_cmp(&bg) {
-                Ordering::Less => (g, state, pred),
-                _ => (bg, bs, bp),
-            },
-        });
-    }
-    let (cost, _state, pred) = winner?;
-
-    let mut edges = Vec::new();
-    let mut nodes = vec![destination];
-    let (mut cur, first_edge) = pred;
-    edges.push(first_edge);
-    while cur != usize::MAX {
-        nodes.push(node_of_state(cur));
-        let (prev, edge_id) = tree.pred[cur];
-        if prev == usize::MAX {
-            cur = usize::MAX;
-            edges.push(edge_id);
-        } else {
-            edges.push(edge_id);
-            cur = prev;
-        }
-    }
-    nodes.push(source);
-    nodes.reverse();
-    edges.reverse();
-    Some(FoundPath { nodes, edges, cost })
 }
 
 #[cfg(test)]
@@ -1082,10 +999,10 @@ mod tests {
         }
     }
 
-    /// Reference Dijkstra, goal-directed A\* and a settled-tree read must
-    /// all return bit-identical [`FoundPath`]s, for every destination
-    /// served by one tree, under a pruning cost model with a known floor.
-    fn assert_astar_and_tree_match_reference(seed: u64) {
+    /// Reference Dijkstra and goal-directed A\* must return bit-identical
+    /// [`FoundPath`]s, for every destination, under a pruning cost model
+    /// with a known floor.
+    fn assert_astar_matches_reference(seed: u64) {
         let n = 8 + (seed % 5) as usize;
         let snapshot = random_geo_snapshot(n, seed);
         let w = 1 + (seed % 13) as u32;
@@ -1099,9 +1016,6 @@ mod tests {
         };
         let source = NodeId(0);
         let mut scratch = SearchScratch::new();
-        let tree = settle_tree_in(&mut scratch, &snapshot, source, |ctx| {
-            cost(ctx.edge.src.0, ctx.edge.dst.0)
-        });
         for dest_i in [n - 2, n - 1] {
             let dest = NodeId(dest_i as u32);
             let reference = min_cost_path_in(&mut scratch, &snapshot, source, dest, |ctx| {
@@ -1113,18 +1027,14 @@ mod tests {
                 min_cost_path_with(&mut scratch, &snapshot, source, dest, &heuristic, |ctx| {
                     cost(ctx.edge.src.0, ctx.edge.dst.0)
                 });
-            let via_tree = path_via_tree(&tree, &snapshot, source, dest, |ctx| {
-                cost(ctx.edge.src.0, ctx.edge.dst.0)
-            });
             assert_same(&format!("seed {seed} dest {dest_i} astar"), &reference, &astar);
-            assert_same(&format!("seed {seed} dest {dest_i} tree"), &reference, &via_tree);
         }
     }
 
     #[test]
-    fn astar_and_tree_reads_are_bit_identical_to_reference() {
+    fn astar_is_bit_identical_to_reference() {
         for seed in 0..300 {
-            assert_astar_and_tree_match_reference(seed);
+            assert_astar_matches_reference(seed);
         }
     }
 
@@ -1150,6 +1060,18 @@ mod tests {
     }
 
     #[test]
+    fn search_kind_parses_and_rejects() {
+        assert_eq!("reference".parse::<SearchKind>().unwrap(), SearchKind::Reference);
+        assert_eq!("astar".parse::<SearchKind>().unwrap(), SearchKind::Astar);
+        assert!("dijkstra".parse::<SearchKind>().is_err());
+        assert!("".parse::<SearchKind>().is_err());
+        assert!("Astar".parse::<SearchKind>().is_err());
+        assert_eq!(SearchKind::Reference.to_string(), "reference");
+        assert_eq!(SearchKind::Astar.to_string(), "astar");
+        assert_eq!(SearchKind::default(), SearchKind::Astar);
+    }
+
+    #[test]
     fn search_stats_count_work() {
         let g = diamond();
         let mut scratch = SearchScratch::new();
@@ -1162,11 +1084,11 @@ mod tests {
     }
 
     proptest! {
-        /// Reference Dijkstra vs A* vs settled-tree reads: bit-identical
-        /// paths over random geometric snapshots and pruning cost models.
+        /// Reference Dijkstra vs A*: bit-identical paths over random
+        /// geometric snapshots and pruning cost models.
         #[test]
-        fn prop_astar_and_tree_match_reference(seed in 0u64..2000) {
-            assert_astar_and_tree_match_reference(seed);
+        fn prop_astar_matches_reference(seed in 0u64..2000) {
+            assert_astar_matches_reference(seed);
         }
 
         /// A reused [`SearchScratch`] must return exactly the same

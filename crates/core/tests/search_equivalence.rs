@@ -1,11 +1,11 @@
-//! Bitwise equivalence of the three search kernels, from the raw
+//! Bitwise equivalence of the two search kernels, from the raw
 //! `FoundPath` level up through baseline and CEAR decisions.
 //!
-//! The contract under test (see `sb_cear::sptcache`): goal-directed A\*
-//! and SPT-cached tree reads return the *same bits* as the reference
-//! Dijkstra — same node sequence, same edge ids, same cost bit pattern —
-//! at every state epoch, including after commits and releases perturb the
-//! reservation state. Seeded drivers pin a handful of Walker geometries;
+//! The contract under test (see `sb_cear::SearchKind`): goal-directed A\*
+//! returns the *same bits* as the reference Dijkstra — same node
+//! sequence, same edge ids, same cost bit pattern — at every state epoch,
+//! including after commits and releases perturb the reservation state.
+//! Seeded drivers pin a handful of Walker geometries;
 //! `proptest` wrappers walk the same checks over randomly drawn shells,
 //! sites and rates. (Repair-epoch equivalence is covered end-to-end by
 //! the engine-level `search_kinds_leave_run_metrics_bit_identical` test
@@ -13,8 +13,7 @@
 
 use proptest::prelude::*;
 use sb_cear::search::{
-    min_cost_path_in, min_cost_path_with, path_via_tree, settle_tree_in, EdgeContext, FoundPath,
-    HopBoundHeuristic, SearchScratch,
+    min_cost_path_in, min_cost_path_with, EdgeContext, FoundPath, HopBoundHeuristic, SearchScratch,
 };
 use sb_cear::{
     Cear, CearParams, Decision, Ecars, Era, Eru, NetworkState, RoutingAlgorithm, SearchKind, Ssp,
@@ -109,8 +108,8 @@ fn bfs_hops(series: &TopologySeries, slot: SlotIndex, goal: NodeId) -> Vec<u32> 
     hops
 }
 
-/// Raw-kernel check: reference Dijkstra vs A\* vs settled-tree read, every
-/// slot, both directions of the site pair, under a static length weight.
+/// Raw-kernel check: reference Dijkstra vs A\*, every slot, both
+/// directions of the site pair, under a static length weight.
 /// Returns how many lookups found a path, so seeded callers can reject a
 /// vacuous all-unreachable run (random shells may legitimately lack
 /// coverage, so the property wrappers ignore it).
@@ -136,20 +135,17 @@ fn check_kernels(
             let hops = bfs_hops(&series, slot, dst);
             let heuristic = HopBoundHeuristic { hops_lb: &hops, unit: 0.999 };
             let astar = min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight);
-            let tree = settle_tree_in(&mut scratch, snap, src, weight);
-            let via_tree = path_via_tree(&tree, snap, src, dst, weight);
             let what = format!("{planes}x{sats_per_plane} slot {s} {src:?}->{dst:?}");
-            assert_same_path(&reference, &astar, &format!("{what} (astar)"));
-            assert_same_path(&reference, &via_tree, &format!("{what} (tree)"));
+            assert_same_path(&reference, &astar, &what);
             found += reference.is_some() as usize;
         }
     }
     found
 }
 
-/// Decision-stream check: every baseline and CEAR, reference vs A\*+SPT,
-/// over a workload that commits and releases between lookups so the SPT
-/// cache crosses several state epochs.
+/// Decision-stream check: every baseline and CEAR, reference vs A\*,
+/// over a workload that commits and releases between lookups so the price
+/// and geometry caches cross several state epochs.
 fn check_decisions(planes: usize, sats_per_plane: usize, phasing: usize, rate: f64) -> usize {
     let slots = 6;
     let sites = [(35.8, -78.6), (48.9, 2.3), (-33.9, 151.2)];
@@ -222,26 +218,25 @@ fn assert_decisions_match(a: &Decision, b: &Decision, what: &str) {
     }
 }
 
-/// Repeat-quote check: CEAR's strict SPT entries promote after repeated
-/// sightings; quotes must stay bit-identical to the reference through the
-/// defer → build → hit transitions and across a commit that invalidates
-/// the promoted entries.
+/// Repeat-quote check: A\* quotes of one request must stay bit-identical
+/// to the reference while the instance's caches warm at one epoch, and
+/// across a commit that invalidates what they hold.
 #[test]
-fn cear_repeat_quotes_match_reference_through_spt_promotion() {
+fn cear_repeat_quotes_match_reference_across_a_commit() {
     let (series, users) = build_series(10, 10, 2, 4, &[(35.8, -78.6), (48.9, 2.3)]);
     let energy = EnergyParams::default();
     let mut state = NetworkState::new(Arc::clone(&series), &energy);
     let reference = Cear::new(CearParams::default()).with_search(SearchKind::Reference);
     let astar = Cear::new(CearParams::default());
     let req = request(0, users[0], users[1], 25.0, 0, 2);
-    // Three quotes at one epoch: Defer, Build, Hit for the cached kernel.
+    // Three quotes at one epoch: cold, then warm caches.
     for pass in 0..3 {
         let a = reference.quote(&req, &state);
         let b = astar.quote(&req, &state);
         assert_quotes_match(&a, &b, &format!("pass {pass}"));
     }
-    // Commit a plan (new epoch); promoted entries are stale and must not
-    // leak the old tree into the next quotes.
+    // Commit a plan (new epoch); cached prices and the heuristic's price
+    // floor are stale and must not leak into the next quotes.
     let mut committer = Cear::new(CearParams::default());
     let commit_req = request(1, users[1], users[0], 40.0, 0, 2);
     let _ = committer.process(&commit_req, &mut state);
@@ -284,7 +279,7 @@ fn decisions_agree_on_seeded_walker_shells() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random shells and site pairs: the three kernels return the same
+    /// Random shells and site pairs: the two kernels return the same
     /// bits for every slot and direction.
     #[test]
     fn prop_kernels_agree(

@@ -73,11 +73,6 @@ impl<'a> LedgerOverlay<'a> {
         LedgerDelta { solar: self.solar, deficit: self.deficit }
     }
 
-    /// Is the overlay a ledger view with no pending changes?
-    pub fn is_clean(&self) -> bool {
-        self.solar.is_empty() && self.deficit.is_empty()
-    }
-
     /// Remaining solar energy of `sat` at slot `t` as seen through the
     /// overlay.
     pub fn remaining_solar_j(&self, sat: usize, t: usize) -> f64 {
@@ -179,7 +174,6 @@ mod tests {
         let mut l = ledger(&[vec![true, false]]);
         l.commit(0, 0, 700.0);
         let tx = l.overlay();
-        assert!(tx.is_clean());
         assert_eq!(tx.remaining_solar_j(0, 0), 500.0);
         assert_eq!(tx.deficit_j(0, 1), 0.0);
         assert_eq!(tx.battery_level_j(0, 1), 117_000.0);

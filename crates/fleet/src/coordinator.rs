@@ -61,8 +61,6 @@ pub struct FleetOptions {
     pub sched: SchedConfig,
     /// Fault injection (empty plan = none).
     pub chaos: ChaosPlan,
-    /// Speculative quote threads inside each admission (bit-identical).
-    pub quote_threads: usize,
     /// Topology build threads inside each worker (bit-identical).
     pub build_threads: usize,
     /// Shortest-path kernel inside each admission (bit-identical).
@@ -79,7 +77,6 @@ impl FleetOptions {
             results_dir: results_dir.into(),
             sched: SchedConfig::default(),
             chaos: ChaosPlan::default(),
-            quote_threads: 1,
             build_threads: 1,
             search: sb_sim::SearchKind::default(),
         }
@@ -418,7 +415,6 @@ pub fn run_fleet(cells: &[SweepCell], opts: &FleetOptions) -> Result<FleetOutcom
                         kind: c.kind,
                         seed: c.seed,
                         digest: digests[cell],
-                        quote_threads: opts.quote_threads,
                         build_threads: opts.build_threads,
                         search: opts.search,
                         chaos: opts.chaos.worker_chaos(cell, attempt),
@@ -596,7 +592,6 @@ fn run_in_process(
             kind: c.kind,
             seed: c.seed,
             digest: digests[i],
-            quote_threads: opts.quote_threads,
             build_threads: opts.build_threads,
             search: opts.search,
             chaos: None,

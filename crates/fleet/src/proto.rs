@@ -24,8 +24,9 @@ use sb_wire::{Reader, WireError, Writer};
 /// Protocol version; bumped on any frame-format change. A worker greets
 /// with its version and the coordinator refuses a mismatch outright
 /// rather than misparse jobs. Version 3 added the optional shipped
-/// topology series ([`SeriesShipment`]) to [`CellSpec`].
-pub const PROTO_VERSION: u32 = 3;
+/// topology series ([`SeriesShipment`]) to [`CellSpec`]; version 4 dropped
+/// its speculative-quoting thread count.
+pub const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on one protocol frame's payload. Cells are a few KB of
 /// JSON and metrics a few KB of wire encoding; 16 MiB is comfortably
@@ -141,8 +142,6 @@ pub struct CellSpec {
     /// The coordinator's [`run_digest`] over `(scenario, kind, seed)`;
     /// the worker recomputes and must agree.
     pub digest: u64,
-    /// Speculative quote threads inside the admission (bit-identical).
-    pub quote_threads: usize,
     /// Topology build threads (bit-identical).
     pub build_threads: usize,
     /// Shortest-path kernel inside each admission (bit-identical).
@@ -162,7 +161,6 @@ impl CellSpec {
         w.str(&serde_json::to_string(&self.kind).unwrap_or_default());
         w.u64(self.seed);
         w.u64(self.digest);
-        w.usize(self.quote_threads);
         w.usize(self.build_threads);
         w.u8(match self.search {
             SearchKind::Reference => 0,
@@ -172,8 +170,8 @@ impl CellSpec {
         SeriesShipment::encode(&self.ship, w);
     }
 
-    /// Decodes a spec, validating eagerly: malformed JSON, a thread count
-    /// of zero, or a digest that does not match the decoded
+    /// Decodes a spec, validating eagerly: malformed JSON, a build thread
+    /// count of zero, or a digest that does not match the decoded
     /// `(scenario, kind, seed)` all surface as [`WireError`] here rather
     /// than as a wrong-config run later.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
@@ -186,13 +184,10 @@ impl CellSpec {
             .map_err(|e| WireError::Invalid { detail: format!("cell algorithm JSON: {e}") })?;
         let seed = r.u64()?;
         let digest = r.u64()?;
-        let quote_threads = r.usize()?;
         let build_threads = r.usize()?;
-        if quote_threads == 0 || build_threads == 0 {
+        if build_threads == 0 {
             return Err(WireError::Invalid {
-                detail: format!(
-                    "zero thread count in cell spec (quote={quote_threads}, build={build_threads})"
-                ),
+                detail: "zero build thread count in cell spec".to_owned(),
             });
         }
         let search = match r.u8()? {
@@ -211,18 +206,7 @@ impl CellSpec {
                 ),
             });
         }
-        Ok(CellSpec {
-            label,
-            scenario,
-            kind,
-            seed,
-            digest,
-            quote_threads,
-            build_threads,
-            search,
-            chaos,
-            ship,
-        })
+        Ok(CellSpec { label, scenario, kind, seed, digest, build_threads, search, chaos, ship })
     }
 }
 
@@ -462,7 +446,6 @@ mod tests {
             scenario,
             kind,
             seed,
-            quote_threads: 1,
             build_threads: 2,
             search: SearchKind::Reference,
             chaos: Some(WorkerChaos::KillAtSlot(3)),
@@ -531,6 +514,17 @@ mod tests {
         let err = JobMsg::decode(&w.into_bytes()).unwrap_err();
         assert!(matches!(err, WireError::Invalid { .. }), "got {err:?}");
         assert!(format!("{err}").contains("digest mismatch"));
+    }
+
+    #[test]
+    fn zero_build_threads_refused_at_decode() {
+        let mut s = spec();
+        s.build_threads = 0;
+        let mut w = Writer::new();
+        JobMsg::Run { job: 0, spec: Box::new(s) }.encode(&mut w);
+        let err = JobMsg::decode(&w.into_bytes()).unwrap_err();
+        assert!(matches!(err, WireError::Invalid { .. }), "got {err:?}");
+        assert!(format!("{err}").contains("zero build thread count"));
     }
 
     #[test]

@@ -118,10 +118,9 @@ pub fn run_cell(
 ) -> RunMetrics {
     let prepared = prepared_for(spec, cache, ships);
     let requests = sb_sim::engine::workload(&spec.scenario, &prepared, spec.seed);
-    let mut algorithm = spec.kind.instantiate_exec(&sb_sim::ExecOptions {
-        quote_threads: spec.quote_threads,
-        search: spec.search,
-    });
+    let mut algorithm = spec
+        .kind
+        .instantiate_exec(&sb_sim::ExecOptions { search: spec.search, ..Default::default() });
     let mut core = EngineCore::new(&spec.scenario, &prepared, &requests, spec.seed);
     while !core.is_complete() {
         match spec.chaos {
@@ -226,7 +225,6 @@ mod tests {
             scenario,
             kind,
             seed,
-            quote_threads: 1,
             build_threads: 1,
             search: sb_sim::SearchKind::default(),
             chaos: None,

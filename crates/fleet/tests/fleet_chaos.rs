@@ -48,7 +48,6 @@ fn reference(cells: &[SweepCell]) -> Vec<RunMetrics> {
                 kind: c.kind,
                 seed: c.seed,
                 digest: run_digest(&c.scenario, &c.kind, c.seed),
-                quote_threads: 1,
                 build_threads: 1,
                 search: sb_sim::SearchKind::default(),
                 chaos: None,

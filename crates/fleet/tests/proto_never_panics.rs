@@ -22,7 +22,6 @@ fn sample_spec() -> CellSpec {
         scenario,
         kind,
         seed: 7,
-        quote_threads: 2,
         build_threads: 3,
         search: sb_sim::SearchKind::Astar,
         chaos: Some(sb_fleet::proto::WorkerChaos::KillAtSlot(4)),

@@ -542,8 +542,9 @@ struct Committer {
     journal: Journal,
     checkpoint_dir: Option<PathBuf>,
     /// Uncached CEAR for committer-serial quotes — bit-identical to the
-    /// workers' cached quotes (see `sb_cear::parquote` equivalence
-    /// tests), so mode transitions never change a decision.
+    /// workers' cached quotes (see `sb_cear`'s
+    /// `cached_quotes_match_reference_bitwise`), so mode transitions never
+    /// change a decision.
     reference: Cear,
     jitter: u64,
     decided: u64,

