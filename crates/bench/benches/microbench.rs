@@ -13,9 +13,7 @@ use sb_sim::engine::{self, AlgorithmKind};
 use sb_sim::ScenarioConfig;
 use sb_topology::graph::EdgeId;
 use sb_topology::series::build_snapshot;
-use sb_topology::{
-    NetworkNodes, NodeId, SlotIndex, TopologyConfig, TopologySeries, TopologySnapshot,
-};
+use sb_topology::{NetworkNodes, NodeId, SlotIndex, TopologyConfig, TopologySeries};
 
 fn network() -> (NetworkState, sb_topology::NodeId, sb_topology::NodeId) {
     let shell = WalkerConstellation::delta(16, 16, 5, 550e3, 53f64.to_radians());
@@ -155,8 +153,9 @@ fn bench_search_arena(c: &mut Criterion) {
 }
 
 fn bench_search_kernels(c: &mut Criterion) {
-    // The two bit-identical search kernels on one 256-sat snapshot: plain
-    // Dijkstra and goal-directed A\* under the hop-bound heuristic.
+    // The kernel's two instantiations on one 256-sat snapshot: Dijkstra,
+    // which every algorithm runs, and the `Heuristic` seam under exact BFS
+    // hop counts — its best case, not anything the product computes.
     // Weight ≥ 1 per edge, so BFS hop counts × 0.999 are an admissible,
     // consistent heuristic.
     use sb_cear::search::{min_cost_path_in, min_cost_path_with, HopBoundHeuristic};
@@ -192,27 +191,6 @@ fn bench_search_kernels(c: &mut Criterion) {
     c.bench_function("search_kernel_astar_256sats", |b| {
         b.iter(|| min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight))
     });
-}
-
-fn bench_quote_search_kinds(c: &mut Criterion) {
-    // A full 5-slot CEAR quote under each search kernel — what the
-    // `--search` flag changes end to end (results are bit-identical).
-    let (state, src, dst) = network();
-    let request = Request {
-        id: RequestId(0),
-        source: src,
-        destination: dst,
-        rate: RateProfile::Constant(1250.0),
-        start: SlotIndex(0),
-        end: SlotIndex(4),
-        valuation: 2.3e9,
-    };
-    let reference = Cear::new(CearParams::default()).with_search(sb_cear::SearchKind::Reference);
-    c.bench_function("quote_5slot_search_reference", |b| {
-        b.iter(|| reference.quote(&request, &state))
-    });
-    let astar = Cear::new(CearParams::default());
-    c.bench_function("quote_5slot_search_astar", |b| b.iter(|| astar.quote(&request, &state)));
 }
 
 fn bench_price_cache(c: &mut Criterion) {
@@ -274,18 +252,6 @@ fn bench_single_slot_admission(c: &mut Criterion) {
     });
 }
 
-/// The same graph in the dense layout, rebuilt through the public API.
-fn dense_twin(split: &TopologySnapshot) -> TopologySnapshot {
-    let nodes = (0..split.num_nodes() as u32).map(NodeId);
-    TopologySnapshot::from_edges(
-        split.slot(),
-        split.kinds().to_vec(),
-        nodes.clone().map(|v| split.position(v)).collect(),
-        nodes.map(|v| split.is_sunlit(v)).collect(),
-        split.edges().collect(),
-    )
-}
-
 fn bench_snapshot_lookup(c: &mut Criterion) {
     // Every accessor the admission path addresses a snapshot through, one
     // pass over the whole slot, split (production) against dense layout:
@@ -297,7 +263,7 @@ fn bench_snapshot_lookup(c: &mut Criterion) {
         let prepared = engine::prepare(&scenario, 0);
         let split = prepared.series.snapshot(SlotIndex(1)).clone();
         assert!(split.is_split(), "the production layout is the split one");
-        let dense = dense_twin(&split);
+        let dense = sb_bench::dense_twin(&split);
         for (layout, snap) in [("split", &split), ("dense", &dense)] {
             let ids = 0..snap.num_edges() as u32;
             let nodes = 0..snap.num_nodes() as u32;
@@ -328,7 +294,6 @@ criterion_group! {
     targets = bench_snapshot_build, bench_series_build, bench_cear_decision, bench_energy_recursion,
               bench_tiny_end_to_end, bench_ground_grid, bench_tle_parse,
               bench_coverage, bench_failure_injection, bench_search_arena,
-              bench_search_kernels, bench_quote_search_kinds,
-              bench_price_cache, bench_single_slot_admission, bench_snapshot_lookup
+              bench_search_kernels, bench_price_cache, bench_single_slot_admission, bench_snapshot_lookup
 }
 criterion_main!(benches);

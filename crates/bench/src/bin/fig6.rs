@@ -11,8 +11,8 @@
 //!
 //! `--build-threads N` parallelizes each per-slot topology build. The
 //! shared prepared-network cache gives the five algorithm cells (and, here,
-//! every rate) of one seed a single topology build; `SB_NO_PREPARE_CACHE=1`
-//! restores per-cell builds. All knobs are byte-identical on the CSVs.
+//! every rate) of one seed a single topology build. All knobs are
+//! byte-identical on the CSVs.
 //!
 //! `--fleet N` runs the same cells across N worker *processes* with
 //! heartbeat supervision, retries and durable per-cell results (resume a

@@ -20,13 +20,13 @@
 //! the sweep grid against the shared [`sb_sim::PreparedCache`] to report
 //! its hit/miss tally.
 //!
-//! The search section compares the admission kernels two ways: raw
-//! per-slot search (Dijkstra vs goal-directed A\*) and full multi-slot
-//! CEAR quotes under each kernel (asserted bit-identical, with per-kernel
-//! [`sb_cear::SearchStats`] work counters). The scaling section reruns the
-//! sweep grid at fixed worker counts (1, 2, 4, 8, 16) against pre-built
-//! networks, reporting cells/s per point and flagging points that
-//! oversubscribe the host.
+//! The search section times the raw per-slot search kernel at its two
+//! instantiations: Dijkstra, which every algorithm runs, and the
+//! `Heuristic` seam under exact BFS hop bounds, which nothing in the
+//! product computes (EXPERIMENTS.md, "Removed: hop-bound A\* in the
+//! product"). The scaling section reruns the sweep grid at fixed worker
+//! counts (1, 2, 4, 8, 16) against pre-built networks, reporting cells/s
+//! per point and flagging points that oversubscribe the host.
 //!
 //! The report carries the host's available parallelism alongside `--jobs`
 //! and `--build-threads`, so a disappointing speedup measured on a 1-core
@@ -36,8 +36,7 @@ use sb_bench::{parse_args, run_cells};
 use sb_cear::search::{
     min_cost_path, min_cost_path_in, min_cost_path_with, EdgeContext, HopBoundHeuristic,
 };
-use sb_cear::{pricing, Cear, CearParams, NetworkState, PriceCache, SearchKind, SearchScratch};
-use sb_demand::{RateProfile, Request, RequestId};
+use sb_cear::{pricing, CearParams, NetworkState, PriceCache, SearchScratch};
 use sb_energy::EnergyParams;
 use sb_geo::coords::Geodetic;
 use sb_orbit::walker::WalkerConstellation;
@@ -146,66 +145,6 @@ fn main() {
         scaling.push((jobs, wall_s, cells_per_s, overcommitted));
     }
 
-    // ---- Quote: reference Dijkstra vs goal-directed A* ------------------
-    // A 12-slot horizon gives each quote 12 per-slot searches; one
-    // committed reservation makes the quoted state non-trivial. Same
-    // request stream, same state — only the search kernel differs. The
-    // quotes must agree bit for bit; the timing and the per-kernel search
-    // counters quantify what goal direction buys inside a real admission.
-    let (mut qstate, qsrc, qdst) = micro_network(12);
-    let params = CearParams::default();
-    let mk_request = |id: u32, rate: f64| Request {
-        id: RequestId(id),
-        source: qsrc,
-        destination: qdst,
-        rate: RateProfile::Constant(rate),
-        start: SlotIndex(0),
-        end: SlotIndex(11),
-        valuation: f64::MAX,
-    };
-    {
-        use sb_cear::RoutingAlgorithm;
-        let mut warm = Cear::new(params);
-        black_box(warm.process(&mk_request(0, 30.0), &mut qstate));
-    }
-    let quote_requests: Vec<Request> =
-        (0..16).map(|id| mk_request(100 + id, 10.0 + 2.0 * id as f64)).collect();
-    let quote_passes = 12u32;
-    let reference_cear = Cear::new(params).with_search(SearchKind::Reference);
-    let t = Instant::now();
-    let mut reference_quotes = Vec::new();
-    for _ in 0..quote_passes {
-        reference_quotes.clear();
-        for r in &quote_requests {
-            reference_quotes.push(black_box(reference_cear.quote(r, &qstate)));
-        }
-    }
-    let quote_reference_us =
-        t.elapsed().as_secs_f64() * 1e6 / (quote_passes as usize * quote_requests.len()) as f64;
-    let astar_cear = Cear::new(params);
-    let t = Instant::now();
-    let mut astar_quotes = Vec::new();
-    for _ in 0..quote_passes {
-        astar_quotes.clear();
-        for r in &quote_requests {
-            astar_quotes.push(black_box(astar_cear.quote(r, &qstate)));
-        }
-    }
-    let quote_astar_us =
-        t.elapsed().as_secs_f64() * 1e6 / (quote_passes as usize * quote_requests.len()) as f64;
-    let kernels_agree = reference_quotes.iter().zip(&astar_quotes).all(|(a, b)| match (a, b) {
-        (Ok((pa, qa)), Ok((pb, qb))) => pa == pb && qa.to_bits() == qb.to_bits(),
-        (a, b) => a == b,
-    });
-    assert!(kernels_agree, "A* quote diverged from the reference kernel");
-    let reference_search = reference_cear.quote_stats().search;
-    let astar_search = astar_cear.quote_stats().search;
-    let quote_search_speedup = quote_reference_us / quote_astar_us;
-    eprintln!(
-        "search quote: reference {quote_reference_us:.1}µs, astar {quote_astar_us:.1}µs, \
-         speedup {quote_search_speedup:.2}x"
-    );
-
     // ---- Micro: per-slot search, fresh allocation vs reused arena ------
     let (state, src, dst) = micro_network(4);
     let snap = state.series().snapshot(SlotIndex(0));
@@ -225,12 +164,13 @@ fn main() {
     let scratch_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
     eprintln!("search: fresh {fresh_us:.1}µs, arena {scratch_us:.1}µs");
 
-    // ---- Micro: search kernels — Dijkstra vs A* ------------------------
-    // An undirected BFS from the destination yields an admissible hop
-    // lower bound for this raw-kernel comparison (the engine derives its
-    // bounds from geometry; any valid bound drives the same machinery).
-    // Every edge below costs at least 1.0, so 0.999 underestimates any
-    // single hop.
+    // ---- Micro: the kernel's `Heuristic` seam under exact hop bounds ----
+    // Not anything the product runs: every algorithm searches with the
+    // Dijkstra instantiation timed above. This times the seam at its best
+    // case — exact BFS hop counts from the destination and a cost with no
+    // price or energy term (every edge costs at least 1.0, so 0.999
+    // underestimates any single hop) — which is the bound a heuristic
+    // would have to approach to pay for its set-up.
     let weight = |ctx: &EdgeContext<'_>| Some(1.0 + ctx.edge.length_m * 1e-9);
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); snap.num_nodes()];
     for edge in snap.edges() {
@@ -262,10 +202,12 @@ fn main() {
     let astar_kernel_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
     let reference_found = min_cost_path_in(&mut scratch, snap, src, dst, weight);
     let astar_found = min_cost_path_with(&mut scratch, snap, src, dst, &heuristic, weight);
-    assert!(reference_found == astar_found, "search kernels disagree on the micro network");
+    let kernels_agree = reference_found == astar_found;
+    assert!(kernels_agree, "search kernels disagree on the micro network");
     eprintln!("search kernels: dijkstra {scratch_us:.1}µs, astar {astar_kernel_us:.1}µs");
 
     // ---- Micro: exponential unit price, powf vs cached -----------------
+    let params = CearParams::default();
     let slot = SlotIndex(0);
     let n_edges = snap.num_edges();
     let passes = 100usize;
@@ -346,16 +288,11 @@ fn main() {
     // one static ISL template across slots, so its per-slot *marginal*
     // bytes must be a fraction of the dense per-slot footprint.
     let delta_series = &serial_prepared.series;
-    // `SB_FULL_REBUILD=1` routes the same prepare path through the dense
-    // per-slot builder — identical node table, identical series content,
-    // dense representation.
-    std::env::set_var("SB_FULL_REBUILD", "1");
-    let full_prepared = engine::prepare(&scenario, 0);
-    std::env::remove_var("SB_FULL_REBUILD");
-    let full_series = &full_prepared.series;
-    assert!(
-        full_series.as_ref() == delta_series.as_ref(),
-        "delta series must equal the full rebuild"
+    // The same series content laid out densely, slot by slot — what the
+    // full-rebuild path stores.
+    let full_series = TopologySeries::from_snapshots(
+        delta_series.snapshots().iter().map(sb_bench::dense_twin).collect(),
+        delta_series.slot_duration_s(),
     );
     let slots = scenario.horizon_slots.max(1);
     let delta_marginal_per_slot = delta_series
@@ -416,12 +353,11 @@ fn main() {
     );
     let mega_build_s = t.elapsed().as_secs_f64();
     let t = Instant::now();
-    let mega_full = TopologySeries::build_full_par(
+    let mega_full = TopologySeries::build_full(
         &mega_nodes,
         &mega.topology,
         mega.horizon_slots,
         mega.slot_duration_s,
-        build_threads,
     );
     let mega_full_build_s = t.elapsed().as_secs_f64();
     assert!(mega_series == mega_full, "mega delta series must equal the full rebuild");
@@ -585,13 +521,6 @@ fn main() {
         "{{\n    \"host_parallelism\": {host},\n    \"points\": [\n      \
          {scaling_points}\n    ]\n  }}"
     );
-    let stats_json = |s: &sb_cear::SearchStats| {
-        format!(
-            "{{ \"pops\": {}, \"stale_skips\": {}, \"relaxations\": {}, \
-             \"heuristic_prunes\": {} }}",
-            s.pops, s.stale_skips, s.relaxations, s.heuristic_prunes
-        )
-    };
     let memory_json = format!(
         "{{\n    \"scale\": \"{}\",\n    \"delta_series_bytes\": {},\n    \
          \"full_series_bytes\": {},\n    \"delta_marginal_per_slot_bytes\": \
@@ -635,14 +564,8 @@ fn main() {
         "{{\n    \"kernel_dijkstra_us\": {scratch_us:.3},\n    \
          \"kernel_astar_us\": {astar_kernel_us:.3},\n    \
          \"kernel_astar_speedup\": {:.4},\n    \
-         \"quote_reference_us\": {quote_reference_us:.3},\n    \
-         \"quote_astar_us\": {quote_astar_us:.3},\n    \
-         \"quote_speedup\": {quote_search_speedup:.4},\n    \
-         \"deterministic\": {kernels_agree},\n    \"reference_stats\": {},\n    \
-         \"astar_stats\": {}\n  }}",
+         \"deterministic\": {kernels_agree}\n  }}",
         scratch_us / astar_kernel_us,
-        stats_json(&reference_search),
-        stats_json(&astar_search),
     );
     let json = format!(
         "{{\n  \"scale\": \"{}\",\n  \"seeds\": {},\n  \"host\": {{\n    \

@@ -9,10 +9,9 @@ pub mod cells;
 pub use sb_fleet::SweepCell;
 
 use sb_fleet::ChaosPlan;
-use sb_sim::engine::{self, AlgorithmKind, ExecOptions, PreparedNetwork};
-use sb_sim::{
-    DurabilityOptions, PreparedCache, RunMetrics, RunOutcome, ScenarioConfig, SearchKind,
-};
+use sb_sim::engine::{self, AlgorithmKind, PreparedNetwork};
+use sb_sim::{DurabilityOptions, PreparedCache, RunMetrics, RunOutcome, ScenarioConfig};
+use sb_topology::{NodeId, TopologySnapshot};
 
 /// Command-line options shared by every figure binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,11 +47,6 @@ pub struct FigureOptions {
     /// [`sb_fleet::ChaosPlan`] for the grammar). Ignored without
     /// `--fleet`.
     pub chaos: Option<ChaosPlan>,
-    /// Shortest-path kernel inside every admission
-    /// (`--search {reference,astar}`; default astar). Both kernels quote
-    /// bit-identical paths, so CSVs never change with it — the flag exists
-    /// so CI can prove exactly that by diffing the outputs.
-    pub search: SearchKind,
 }
 
 impl Default for FigureOptions {
@@ -67,9 +61,22 @@ impl Default for FigureOptions {
             build_threads: default_jobs(),
             fleet: None,
             chaos: None,
-            search: SearchKind::default(),
         }
     }
+}
+
+/// The same graph in the dense layout, rebuilt through the public API —
+/// what the full-rebuild oracle stores for a slot the delta compiler keeps
+/// split.
+pub fn dense_twin(split: &TopologySnapshot) -> TopologySnapshot {
+    let nodes = (0..split.num_nodes() as u32).map(NodeId);
+    TopologySnapshot::from_edges(
+        split.slot(),
+        split.kinds().to_vec(),
+        nodes.clone().map(|v| split.position(v)).collect(),
+        nodes.map(|v| split.is_sunlit(v)).collect(),
+        split.edges().collect(),
+    )
 }
 
 /// The default worker count: the host's available parallelism, 1 when it
@@ -79,19 +86,18 @@ pub fn default_jobs() -> usize {
 }
 
 /// Parses `--scale {paper,fast,tiny,mega,mega3}`, `--seeds N`, `--out DIR`,
-/// `--checkpoint-every N`, `--resume DIR`, `--jobs N`, `--build-threads N`
-/// and `--search {reference,astar}` from an argument iterator.
+/// `--checkpoint-every N`, `--resume DIR`, `--jobs N` and `--build-threads N`
+/// from an argument iterator.
 ///
 /// `--scale paper` defaults the seed count to the paper's 5, but an
 /// explicit `--seeds N` wins regardless of argument order.
 ///
 /// # Panics
 ///
-/// Panics with a usage message on unknown arguments, rejects `0` for
+/// Panics with a usage message on unknown arguments, and rejects `0` for
 /// `--jobs`/`--build-threads` instead of silently
 /// flooring it — these are experiment drivers, not long-lived services,
-/// and a zero thread count is a typo worth surfacing — and rejects an
-/// unknown `--search` kind instead of defaulting it.
+/// and a zero thread count is a typo worth surfacing.
 pub fn parse_args(args: impl Iterator<Item = String>) -> FigureOptions {
     let mut opts = FigureOptions::default();
     let mut seeds_given = false;
@@ -157,13 +163,9 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> FigureOptions {
                 opts.chaos =
                     Some(ChaosPlan::parse(&spec).unwrap_or_else(|e| panic!("--chaos: {e}")));
             }
-            "--search" => {
-                let v = args.next().expect("--search needs a value (reference|astar)");
-                opts.search = v.parse().unwrap_or_else(|e| panic!("--search: {e}"));
-            }
             other => panic!(
                 "unknown argument `{other}` (use --scale/--seeds/--out/--checkpoint-every\
-                 /--resume/--jobs/--build-threads/--fleet/--chaos/--search)"
+                 /--resume/--jobs/--build-threads/--fleet/--chaos)"
             ),
         }
     }
@@ -196,11 +198,10 @@ pub fn prepared_cache(opts: &FigureOptions) -> PreparedCache {
 /// a glance how many prepares the cache saved.
 pub fn report_cache(cache: &PreparedCache) {
     eprintln!(
-        "prepared-network cache: {} hits, {} misses, {} distinct networks{}",
+        "prepared-network cache: {} hits, {} misses, {} distinct networks",
         cache.hits(),
         cache.misses(),
         cache.len(),
-        if cache.is_disabled() { " (memoization disabled by SB_NO_PREPARE_CACHE)" } else { "" }
     );
 }
 
@@ -227,9 +228,8 @@ pub fn run_cell(
     seed: u64,
     cell: &str,
 ) -> RunMetrics {
-    let exec = ExecOptions { search: opts.search, ..ExecOptions::default() };
     if opts.checkpoint_every.is_none() && opts.resume_from.is_none() {
-        return engine::run_prepared_exec(scenario, prepared, requests, kind, seed, &exec);
+        return engine::run_prepared(scenario, prepared, requests, kind, seed);
     }
     let base = opts.resume_from.clone().unwrap_or_else(|| opts.out_dir.join("durable"));
     // Cell labels may carry '/' (model/policy); keep the directory flat.
@@ -242,7 +242,6 @@ pub fn run_cell(
         checkpoint_every: opts.checkpoint_every.unwrap_or(1),
         resume: opts.resume_from.is_some(),
         halt_before_slot: None,
-        exec,
     };
     match sb_sim::run_durable(scenario, prepared, requests, kind, seed, &durability) {
         Ok(RunOutcome::Completed(metrics)) => *metrics,
@@ -332,7 +331,6 @@ pub fn run_sweep(
     };
     let mut fleet_opts = sb_fleet::FleetOptions::new(workers, opts.out_dir.join("fleet"));
     fleet_opts.build_threads = opts.build_threads;
-    fleet_opts.search = opts.search;
     if let Some(plan) = &opts.chaos {
         fleet_opts.chaos = plan.clone();
     }
@@ -451,19 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn search_flag_parses_and_defaults_to_astar() {
-        assert_eq!(parse(&["--search", "reference"]).search, SearchKind::Reference);
-        assert_eq!(parse(&["--search", "astar"]).search, SearchKind::Astar);
-        assert_eq!(parse(&[]).search, SearchKind::Astar);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown search kind")]
-    fn bogus_search_is_rejected_not_defaulted() {
-        parse(&["--search", "dijkstra"]);
-    }
-
-    #[test]
     fn run_cells_preserves_cell_order() {
         let items: Vec<usize> = (0..37).collect();
         let serial = run_cells(1, &items, |i, &x| (i, x * x));
@@ -522,8 +507,8 @@ mod tests {
 
     #[test]
     fn bad_flag_panics() {
-        // The second is a removed flag: refused, not ignored.
-        for flag in ["--frobnicate", "--quote-threads"] {
+        // The last two are removed flags: refused, not ignored.
+        for flag in ["--frobnicate", "--quote-threads", "--search"] {
             let panic = std::panic::catch_unwind(|| parse(&[flag])).expect_err(flag);
             let message = panic.downcast_ref::<String>().expect("a formatted panic message");
             assert!(message.contains("unknown argument"), "{flag}: {message}");

@@ -2,12 +2,9 @@
 
 use crate::params::CearParams;
 use crate::plan::{ReservationPlan, SlotPath};
-use crate::pricecache::{EnergyPriceCache, MinUnitPriceCache, PriceCache};
+use crate::pricecache::{EnergyPriceCache, PriceCache};
 use crate::pricing;
-use crate::search::{
-    min_cost_path_in, min_cost_path_with, EdgeContext, FoundPath, GeomCache, HopBoundHeuristic,
-    SearchKind, SearchScratch, SearchStats, UNIT_SLACK,
-};
+use crate::search::{min_cost_path_in, EdgeContext, FoundPath, SearchScratch, SearchStats};
 use crate::state::{EpochReadSet, NetworkState};
 use sb_demand::Request;
 use sb_energy::{LedgerOverlay, SatelliteRole};
@@ -110,10 +107,6 @@ pub struct Cear {
     /// `false` runs the pre-cache reference path (fresh allocations,
     /// direct `powf`) for equivalence testing — see [`Cear::reference`].
     use_caches: bool,
-    /// Which search kernel the per-slot searches run — the reference
-    /// Dijkstra or goal-directed A\*. Bit-identical results either way
-    /// (see [`SearchKind`]), so it must never enter run digests.
-    pub(crate) search: SearchKind,
 }
 
 /// The per-instance acceleration state behind [`Cear`]'s quote path.
@@ -125,10 +118,6 @@ struct CearHot {
     prices: Option<PriceCache>,
     /// Per-slot `(satellite, role)` energy memo.
     energy: EnergyPriceCache,
-    /// Hop-bound geometry for the A\* heuristic.
-    geom: GeomCache,
-    /// Per-slot minimum link unit price (the heuristic's price floor).
-    hmin: MinUnitPriceCache,
 }
 
 /// Which of CEAR's three mechanisms are active — for ablation studies.
@@ -177,7 +166,6 @@ impl Cear {
             ablation: AblationFlags::default(),
             hot: RefCell::new(CearHot::default()),
             use_caches: true,
-            search: SearchKind::default(),
         }
     }
 
@@ -189,18 +177,6 @@ impl Cear {
         cear.hot.borrow_mut().prices =
             Some(PriceCache::sized_for(params.mu1(), params.mu2(), state));
         cear
-    }
-
-    /// Selects the search kernel. Purely an execution knob — quotes are
-    /// **bit-identical** for either kind (see [`SearchKind`]).
-    pub fn with_search(mut self, search: SearchKind) -> Self {
-        self.search = search;
-        self
-    }
-
-    /// The configured search kernel.
-    pub fn search_kind(&self) -> SearchKind {
-        self.search
     }
 
     /// Search-work counters accumulated by this instance's quotes — for
@@ -222,7 +198,7 @@ impl Cear {
     /// (and anyone suspicious of a cache) can prove decisions and prices
     /// are bit-identical to the accelerated path.
     pub fn reference(params: CearParams) -> Self {
-        Cear { use_caches: false, search: SearchKind::Reference, ..Cear::new(params) }
+        Cear { use_caches: false, ..Cear::new(params) }
     }
 
     /// The pricing parameters in use.
@@ -360,14 +336,6 @@ impl Cear {
 
     /// Searches one active slot's min-price path for `request` against the
     /// energy overlay `tx` — the per-slot kernel of Algorithm 1 line 5.
-    ///
-    /// With [`SearchKind::Astar`] on a caching instance the search is
-    /// goal-directed by the hop-bound heuristic (unit = the tie-break floor
-    /// plus, when bandwidth is priced, the slot's minimum link unit price —
-    /// both lower bounds on any edge weight, so the heuristic is admissible
-    /// and consistent and the result is bit-identical to the reference).
-    /// Read-set recording forces the reference kernel — the recorded set
-    /// is defined over the reference expansion order.
     #[allow(clippy::too_many_arguments)] // what to route, where, and what the search may write
     fn search_slot(
         &self,
@@ -388,29 +356,11 @@ impl Cear {
         let snapshot = state.series().snapshot(slot);
         let rate = request.rate_at(slot);
         let t = slot.index();
-        let CearHot { scratch, prices, energy: energy_cache, geom, hmin } = hot;
+        let CearHot { scratch, prices, energy: energy_cache } = hot;
         // Energy cost of satellite `sat` playing `role` at this slot, memoized
         // per (sat, role): the deficit trace priced per Eq. (12), or None when
         // the battery cannot absorb the consumption.
         energy_cache.begin_slot(state.num_satellites());
-        // Heuristic inputs are computed before the cost closure below captures
-        // the price cache mutably. Every edge weight is at least the tie-break
-        // term plus (when bandwidth is priced) rate × the slot's minimum unit
-        // price, so hop-bound × that unit is an admissible lower bound; the
-        // slack keeps float rounding from ever tipping it over.
-        // The reference path (no price cache) and a recording quote run the
-        // reference kernel whatever `search` says.
-        let heuristic = match prices.as_mut() {
-            Some(pc) if self.search == SearchKind::Astar && reads.is_none() => {
-                let hops = geom.hop_bounds(state.series_arc(), slot, request.destination);
-                let mut unit = HOP_TIEBREAK * (1.0 + rate);
-                if ablation.price_bandwidth {
-                    unit += rate * hmin.min_unit_price(state, slot, pc);
-                }
-                Some((hops, unit * UNIT_SLACK))
-            }
-            _ => None,
-        };
         let cost_fn = |ctx: &EdgeContext<'_>| {
             // Known-down edges are gone, whatever the price says.
             if known.is_some_and(|k| k.is_down(slot, ctx.edge_id)) {
@@ -477,19 +427,7 @@ impl Cear {
             }
             Some(cost)
         };
-        match &heuristic {
-            Some((hops, unit)) => min_cost_path_with(
-                scratch,
-                snapshot,
-                request.source,
-                request.destination,
-                &HopBoundHeuristic { hops_lb: hops, unit: *unit },
-                cost_fn,
-            ),
-            None => {
-                min_cost_path_in(scratch, snapshot, request.source, request.destination, cost_fn)
-            }
-        }
+        min_cost_path_in(scratch, snapshot, request.source, request.destination, cost_fn)
     }
 }
 
@@ -874,6 +812,36 @@ mod tests {
         }
         assert!(accepted >= 2, "stream must admit some requests");
         assert_eq!(state_fast.ledger(), state_ref.ledger(), "final ledgers diverged");
+    }
+
+    #[test]
+    fn every_entry_point_runs_the_same_search() {
+        // One kernel, whoever asks: on a loaded state the plain quote, the
+        // repair path's quote and the service's recording quote of one
+        // instance return the same plan and price bits, and each adds the
+        // same search work to the instance's counters.
+        let (mut state, src, dst) = build_state(3);
+        let mut loader = Cear::new(CearParams::default());
+        for k in 0..6u32 {
+            let filler = request(src, dst, 400.0 + 150.0 * k as f64, 0, 2, f64::MAX);
+            let _ = loader.process(&filler, &mut state);
+        }
+        let req = request(src, dst, 800.0, 0, 2, f64::MAX);
+        let cear = Cear::new(CearParams::default());
+        let (plan, price) = cear.quote(&req, &state).expect("feasible");
+        let once = cear.quote_stats().search;
+        assert!(once.pops > 0, "the quote searched nothing");
+        for (entry, quoted) in [
+            ("quote_avoiding", cear.quote_avoiding(&req, &state, None)),
+            ("quote_recording", cear.quote_recording(&req, &state).0),
+        ] {
+            let (p, q) = quoted.expect("feasible");
+            assert_eq!((p, q.to_bits()), (plan.clone(), price.to_bits()), "{entry}");
+        }
+        let mut expected = once;
+        expected.merge(&once);
+        expected.merge(&once);
+        assert_eq!(cear.quote_stats().search, expected, "three quotes, three times the work");
     }
 
     #[test]

@@ -12,15 +12,13 @@ use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
 use crate::baselines::{edge_battery_utilization, route_and_commit, route_plan, DELAY_NORM_M};
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 use serde::{Deserialize, Serialize};
 
 /// The constant added to every linear-metric edge cost so that an idle
-/// network still prefers fewer hops — and the per-edge cost floor the
-/// ECARS-family A\* heuristics build on (every factor term is ≥ 0).
-pub(crate) const HOP_EPSILON: f64 = 1e-3;
+/// network still prefers fewer hops.
+const HOP_EPSILON: f64 = 1e-3;
 
 /// The linear weights of the ECARS path metric.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +59,6 @@ impl EcarsFactors {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Ecars {
     factors: EcarsFactors,
-    search: SearchKind,
 }
 
 impl Ecars {
@@ -72,29 +69,12 @@ impl Ecars {
 
     /// ECARS with custom factors.
     pub fn with_factors(factors: EcarsFactors) -> Self {
-        Ecars { factors, search: SearchKind::default() }
-    }
-
-    /// Selects the search kernel (bitwise-identical results either way).
-    pub fn with_search(mut self, search: SearchKind) -> Self {
-        self.search = search;
-        self
+        Ecars { factors }
     }
 
     /// The factors in use.
     pub fn factors(&self) -> &EcarsFactors {
         &self.factors
-    }
-}
-
-/// The per-edge cost floor of the linear metric: [`HOP_EPSILON`] when all
-/// factor terms are guaranteed non-negative, else the trivially admissible
-/// 0 (a pathological negative factor must not break A\* optimality).
-pub(crate) fn factor_floor(f: &EcarsFactors) -> f64 {
-    if f.congestion >= 0.0 && f.energy >= 0.0 && f.delay >= 0.0 {
-        HOP_EPSILON
-    } else {
-        0.0
     }
 }
 
@@ -105,17 +85,11 @@ impl RoutingAlgorithm for Ecars {
 
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let factors = self.factors;
-        route_and_commit(
-            request,
-            state,
-            self.search,
-            factor_floor(&self.factors),
-            |ctx, slot, st| {
-                let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
-                let lambda_s = edge_battery_utilization(ctx, slot, st);
-                Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
-            },
-        )
+        route_and_commit(request, state, |ctx, slot, st| {
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
+            let lambda_s = edge_battery_utilization(ctx, slot, st);
+            Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
+        })
     }
 
     fn quote_plan(
@@ -125,18 +99,11 @@ impl RoutingAlgorithm for Ecars {
         known: Option<&KnownFailures>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let factors = self.factors;
-        route_plan(
-            request,
-            state,
-            known,
-            self.search,
-            factor_floor(&self.factors),
-            |ctx, slot, st| {
-                let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
-                let lambda_s = edge_battery_utilization(ctx, slot, st);
-                Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
-            },
-        )
+        route_plan(request, state, known, |ctx, slot, st| {
+            let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
+            let lambda_s = edge_battery_utilization(ctx, slot, st);
+            Some(factors.edge_cost(lambda_e, lambda_s, ctx.edge.length_m))
+        })
         .map(|p| (p, 0.0))
     }
 }

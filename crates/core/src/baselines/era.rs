@@ -6,13 +6,12 @@
 //! in the paper — steering traffic away without forbidding it.
 
 use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
-use crate::baselines::ecars::{factor_floor, EcarsFactors};
+use crate::baselines::ecars::EcarsFactors;
 use crate::baselines::{
     edge_battery_deficit_j, edge_battery_utilization, route_and_commit, route_plan,
 };
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
@@ -22,7 +21,6 @@ pub struct Era {
     base: EcarsFactors,
     hot: EcarsFactors,
     threshold_frac: f64,
-    search: SearchKind,
 }
 
 impl Default for Era {
@@ -32,7 +30,6 @@ impl Default for Era {
             // Paper: beyond the threshold, congestion 0.15, energy 0.7.
             hot: EcarsFactors { congestion: 0.15, energy: 0.7, delay: 0.15 },
             threshold_frac: 0.01,
-            search: SearchKind::default(),
         }
     }
 }
@@ -53,12 +50,6 @@ impl Era {
         Era { threshold_frac, ..Self::default() }
     }
 
-    /// Selects the search kernel (bitwise-identical results either way).
-    pub fn with_search(mut self, search: SearchKind) -> Self {
-        self.search = search;
-        self
-    }
-
     /// The factors applied below the threshold.
     pub fn base_factors(&self) -> &EcarsFactors {
         &self.base
@@ -67,12 +58,6 @@ impl Era {
     /// The penalized factors applied beyond the threshold.
     pub fn hot_factors(&self) -> &EcarsFactors {
         &self.hot
-    }
-
-    /// Both factor profiles include the additive hop epsilon, so the floor
-    /// is the smaller of the two profiles' floors.
-    fn floor(&self) -> f64 {
-        factor_floor(&self.base).min(factor_floor(&self.hot))
     }
 }
 
@@ -84,7 +69,7 @@ impl RoutingAlgorithm for Era {
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_and_commit(request, state, self.search, self.floor(), |ctx, slot, st| {
+        route_and_commit(request, state, |ctx, slot, st| {
             let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =
@@ -101,7 +86,7 @@ impl RoutingAlgorithm for Era {
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let (base, hot) = (self.base, self.hot);
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_plan(request, state, known, self.search, self.floor(), |ctx, slot, st| {
+        route_plan(request, state, known, |ctx, slot, st| {
             let lambda_e = st.utilization_of(slot, ctx.edge_id, ctx.edge.capacity_mbps);
             let lambda_s = edge_battery_utilization(ctx, slot, st);
             let factors =

@@ -8,13 +8,12 @@
 //! difficult and lowering the social welfare ratio".
 
 use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
-use crate::baselines::ecars::{factor_floor, EcarsFactors};
+use crate::baselines::ecars::EcarsFactors;
 use crate::baselines::{
     edge_battery_deficit_j, edge_battery_utilization, route_and_commit, route_plan,
 };
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
@@ -25,16 +24,11 @@ pub struct Eru {
     /// Links of satellites whose battery deficit exceeds this fraction of
     /// capacity are pruned for the slot.
     threshold_frac: f64,
-    search: SearchKind,
 }
 
 impl Default for Eru {
     fn default() -> Self {
-        Eru {
-            factors: EcarsFactors::default(),
-            threshold_frac: 0.01,
-            search: SearchKind::default(),
-        }
+        Eru { factors: EcarsFactors::default(), threshold_frac: 0.01 }
     }
 }
 
@@ -56,21 +50,9 @@ impl Eru {
         Eru { threshold_frac, ..Self::default() }
     }
 
-    /// Selects the search kernel (bitwise-identical results either way).
-    pub fn with_search(mut self, search: SearchKind) -> Self {
-        self.search = search;
-        self
-    }
-
     /// The pruning threshold fraction.
     pub fn threshold_frac(&self) -> f64 {
         self.threshold_frac
-    }
-
-    /// Pruning only removes edges, so the surviving edges keep the ECARS
-    /// floor — the heuristic stays admissible.
-    fn floor(&self) -> f64 {
-        factor_floor(&self.factors)
     }
 }
 
@@ -82,7 +64,7 @@ impl RoutingAlgorithm for Eru {
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
         let factors = self.factors;
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_and_commit(request, state, self.search, self.floor(), |ctx, slot, st| {
+        route_and_commit(request, state, |ctx, slot, st| {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }
@@ -100,7 +82,7 @@ impl RoutingAlgorithm for Eru {
     ) -> Result<(ReservationPlan, f64), RejectReason> {
         let factors = self.factors;
         let threshold_j = self.threshold_frac * state.energy_params().battery_capacity_j;
-        route_plan(request, state, known, self.search, self.floor(), |ctx, slot, st| {
+        route_plan(request, state, known, |ctx, slot, st| {
             if edge_battery_deficit_j(ctx, slot, st) > threshold_j {
                 return None; // prune
             }

@@ -34,10 +34,7 @@ pub use ssp::Ssp;
 use crate::algorithm::{Decision, RejectReason};
 use crate::lifecycle::KnownFailures;
 use crate::plan::{ReservationPlan, SlotPath};
-use crate::search::{
-    min_cost_path_in, min_cost_path_with, EdgeContext, GeomCache, HopBoundHeuristic, SearchKind,
-    SearchScratch, UNIT_SLACK,
-};
+use crate::search::{min_cost_path_in, EdgeContext, SearchScratch};
 use crate::state::NetworkState;
 use sb_demand::Request;
 use sb_topology::SlotIndex;
@@ -48,34 +45,24 @@ thread_local! {
     /// searches of all baseline calls on a thread reuse the same buffers
     /// (see [`SearchScratch`]), which is bit-transparent to the results.
     static BASELINE_SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-    /// Per-thread hop-bound geometry for the A\* heuristic.
-    static BASELINE_GEOM: RefCell<GeomCache> = RefCell::new(GeomCache::default());
 }
 
-/// Drops everything the calling thread's baseline caches hold: the search
-/// arena, every hop bound, and the `Arc<TopologySeries>` the geometry cache
-/// anchors on. They refill on the next baseline call; a run releases them
-/// when it ends so that its topology does not stay pinned until the thread
-/// happens to route another baseline.
+/// Drops the calling thread's baseline search arena. It regrows on the next
+/// baseline call; a run releases it when it ends so that a mega-scale arena
+/// does not stay allocated until the thread happens to route another
+/// baseline.
 pub fn release_thread_caches() {
     BASELINE_SCRATCH.with(|cell| *cell.borrow_mut() = SearchScratch::new());
-    BASELINE_GEOM.with(|cell| *cell.borrow_mut() = GeomCache::default());
 }
 
 /// Shared baseline search: routes every active slot with `weight_fn`
 /// (bandwidth feasibility and known-down pruning are pre-checked before
 /// the weight function runs) without committing anything. Baselines are
 /// price-oblivious, so the plan's `total_cost` is zero.
-///
-/// `search` picks the kernel: the reference Dijkstra, or A\* goal-directed
-/// by hop bound × `floor`, a lower bound on any single edge weight of the
-/// cost model (bitwise identical results — see [`SearchKind`]).
 pub(crate) fn route_plan(
     request: &Request,
     state: &NetworkState,
     known: Option<&KnownFailures>,
-    search: SearchKind,
-    floor: f64,
     mut weight_fn: impl FnMut(&EdgeContext<'_>, SlotIndex, &NetworkState) -> Option<f64>,
 ) -> Result<ReservationPlan, RejectReason> {
     BASELINE_SCRATCH.with(|cell| {
@@ -93,25 +80,8 @@ pub(crate) fn route_plan(
                 }
                 weight_fn(ctx, slot, state)
             };
-            let found = match search {
-                SearchKind::Reference => {
-                    min_cost_path_in(scratch, snapshot, request.source, request.destination, full)
-                }
-                SearchKind::Astar => {
-                    let hops = BASELINE_GEOM.with(|geom| {
-                        geom.borrow_mut().hop_bounds(state.series_arc(), slot, request.destination)
-                    });
-                    let heuristic = HopBoundHeuristic { hops_lb: &hops, unit: floor * UNIT_SLACK };
-                    min_cost_path_with(
-                        scratch,
-                        snapshot,
-                        request.source,
-                        request.destination,
-                        &heuristic,
-                        full,
-                    )
-                }
-            };
+            let found =
+                min_cost_path_in(scratch, snapshot, request.source, request.destination, full);
             match found {
                 Some(p) => slot_paths.push(SlotPath { slot, nodes: p.nodes, edges: p.edges }),
                 None => return Err(RejectReason::NoFeasiblePath),
@@ -126,11 +96,9 @@ pub(crate) fn route_plan(
 pub(crate) fn route_and_commit(
     request: &Request,
     state: &mut NetworkState,
-    search: SearchKind,
-    floor: f64,
     weight_fn: impl FnMut(&EdgeContext<'_>, SlotIndex, &NetworkState) -> Option<f64>,
 ) -> Decision {
-    let plan = match route_plan(request, state, None, search, floor, weight_fn) {
+    let plan = match route_plan(request, state, None, weight_fn) {
         Ok(plan) => plan,
         Err(reason) => return Decision::Rejected { reason },
     };

@@ -10,31 +10,21 @@ use crate::algorithm::{Decision, RejectReason, RoutingAlgorithm};
 use crate::baselines::{route_and_commit, route_plan};
 use crate::lifecycle::KnownFailures;
 use crate::plan::ReservationPlan;
-use crate::search::SearchKind;
 use crate::state::NetworkState;
 use sb_demand::Request;
 
 /// The Single Shortest Path baseline.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Ssp {
-    search: SearchKind,
-}
+pub struct Ssp;
 
 impl Ssp {
     /// Creates the baseline.
     pub fn new() -> Self {
-        Ssp::default()
-    }
-
-    /// Selects the search kernel (bitwise-identical results either way).
-    pub fn with_search(mut self, search: SearchKind) -> Self {
-        self.search = search;
-        self
+        Ssp
     }
 }
 
-/// Every hop costs exactly this, so it is also the exact per-edge cost floor
-/// the A\* heuristic builds on.
+/// Every hop costs exactly this: the path metric is the hop count.
 const HOP_COST: f64 = 1.0;
 
 impl RoutingAlgorithm for Ssp {
@@ -43,9 +33,7 @@ impl RoutingAlgorithm for Ssp {
     }
 
     fn process(&mut self, request: &Request, state: &mut NetworkState) -> Decision {
-        route_and_commit(request, state, self.search, HOP_COST, |_ctx, _slot, _state| {
-            Some(HOP_COST)
-        })
+        route_and_commit(request, state, |_ctx, _slot, _state| Some(HOP_COST))
     }
 
     fn quote_plan(
@@ -54,10 +42,7 @@ impl RoutingAlgorithm for Ssp {
         state: &NetworkState,
         known: Option<&KnownFailures>,
     ) -> Result<(ReservationPlan, f64), RejectReason> {
-        route_plan(request, state, known, self.search, HOP_COST, |_ctx, _slot, _state| {
-            Some(HOP_COST)
-        })
-        .map(|p| (p, 0.0))
+        route_plan(request, state, known, |_ctx, _slot, _state| Some(HOP_COST)).map(|p| (p, 0.0))
     }
 }
 

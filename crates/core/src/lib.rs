@@ -35,9 +35,8 @@
 //! * [`state`] — mutable network state: per-slot bandwidth reservations
 //!   plus the satellite energy ledger, with atomic plan commits;
 //! * [`search`] — the per-slot min-cost path search over
-//!   (node × link-type) states, generic over an admissible A\* heuristic
-//!   (`ZeroHeuristic` is the reference Dijkstra), and the hop-bound
-//!   geometry that goal-directs it, bitwise transparently;
+//!   (node × link-type) states, generic over an admissible heuristic;
+//!   every algorithm runs its `ZeroHeuristic` instantiation, Dijkstra;
 //! * [`plan`] — reservation plans and role extraction;
 //! * [`algorithm`] — the [`RoutingAlgorithm`] trait and [`Cear`] itself;
 //! * [`adaptive`] — the §V-B feedback loop that retunes `F₂` from
@@ -114,7 +113,7 @@ pub use multipath::MultipathCear;
 pub use params::CearParams;
 pub use plan::{ReservationPlan, SlotPath};
 pub use pricecache::PriceCache;
-pub use search::{SearchKind, SearchScratch, SearchStats};
+pub use search::{SearchScratch, SearchStats};
 pub use state::{BookingId, CommitError, EpochReadSet, NetworkState};
 
 // ---- Compatibility with the frozen `crates/benchmark` ------------------
@@ -125,10 +124,13 @@ pub use state::{BookingId, CommitError, EpochReadSet, NetworkState};
 // `core.parquote_*` through the names below and may only change in a PR
 // of its own. Until then they are inert: the counters read 0 and the
 // thread count is ignored, so `core.spt_hit_frac` is 0 and
-// `core.parquote_speedup` ≈ 1, which is what is true. Follow-up
-// (`benchmark` archetype): drop `core.spt_*` and `core.parquote_*` from
-// BENCHMARK.json, then delete this block, the three hidden fields of
-// `QuoteStats` and `ExecOptions::quote_threads` in `sb-sim`.
+// `core.parquote_speedup` ≈ 1, which is what is true. The `--search` knob
+// is deleted too (EXPERIMENTS.md, "Removed: hop-bound A\* in the product"),
+// and the frozen sweep still writes `Cear::with_search(exec.search)`.
+// Follow-up (`benchmark` archetype): drop `core.spt_*` and
+// `core.parquote_*` from BENCHMARK.json and the `exec` plumbing from
+// `crates/benchmark`, then delete this block, the three hidden fields of
+// `QuoteStats` and the compat block of `sb-sim`'s `engine.rs`.
 
 /// Always zero: there is no tree cache to count.
 #[doc(hidden)]
@@ -156,10 +158,22 @@ pub fn global_spt_stats() -> SptStats {
 #[doc(hidden)]
 pub fn reset_global_spt_stats() {}
 
+/// The type of the `search` field in `sb-sim`'s compat block: there is one
+/// kernel and nothing to select.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCompat;
+
 impl Cear {
     /// Ignores `threads`: every quote is serial.
     #[doc(hidden)]
     pub fn with_quote_threads(self, _threads: usize) -> Self {
+        self
+    }
+
+    /// Ignores its argument: every quote runs the one kernel.
+    #[doc(hidden)]
+    pub fn with_search(self, _search: SearchCompat) -> Self {
         self
     }
 }

@@ -12,8 +12,7 @@
 //! release + commit). A hit returns the exact `f64` computed earlier with
 //! identical inputs, so cached quotes are bit-identical to uncached ones.
 //!
-//! Two per-slot memos of the quote search live beside it:
-//! `MinUnitPriceCache` (the price floor of the A\* heuristic) and
+//! One per-slot memo of the quote search lives beside it:
 //! `EnergyPriceCache` (one Eq. 12 deficit pricing per `(satellite, role)`).
 
 use crate::pricing;
@@ -21,7 +20,6 @@ use crate::state::NetworkState;
 use sb_energy::SatelliteRole;
 use sb_topology::graph::EdgeId;
 use sb_topology::SlotIndex;
-use std::collections::HashMap;
 
 /// One memoized unit price. `stamp` holds the epoch of the state cell the
 /// price was computed against; the process-wide epoch source starts at 1,
@@ -118,40 +116,6 @@ impl PriceCache {
             cell.stamp = epoch;
         }
         cell.price
-    }
-}
-
-/// Per-slot minimum link unit price, validated against the slot's
-/// bandwidth generation — the state-dependent part of CEAR's A\* heuristic
-/// floor, recomputed only when the slot's reservations change.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MinUnitPriceCache {
-    map: HashMap<u32, (u64, f64)>,
-}
-
-impl MinUnitPriceCache {
-    /// The minimum unit price over every edge of the slot (≥ 0; 0 when
-    /// the slot has no edges).
-    pub(crate) fn min_unit_price(
-        &mut self,
-        state: &NetworkState,
-        slot: SlotIndex,
-        prices: &mut PriceCache,
-    ) -> f64 {
-        let gen = state.slot_bandwidth_gen(slot);
-        if let Some(&(cached_gen, value)) = self.map.get(&slot.0) {
-            if cached_gen == gen {
-                return value;
-            }
-        }
-        let num_edges = state.series().snapshot(slot).num_edges();
-        let mut min = f64::INFINITY;
-        for id in 0..num_edges as u32 {
-            min = min.min(prices.link_unit_price(state, slot, EdgeId(id)));
-        }
-        let value = if min.is_finite() { min.max(0.0) } else { 0.0 };
-        self.map.insert(slot.0, (gen, value));
-        value
     }
 }
 

@@ -20,44 +20,9 @@
 //!   over-draw, link pruning à la ERU).
 
 use sb_topology::graph::{Edge, EdgeId};
-use sb_topology::{LinkType, NodeId, SlotIndex, TopologySeries, TopologySnapshot};
+use sb_topology::{LinkType, NodeId, SlotIndex, TopologySnapshot};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
-
-/// Which search kernel an algorithm instance runs.
-///
-/// Both kinds return bitwise-identical `FoundPath`s (proven by property
-/// tests); they differ only in how much of the frontier they explore.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchKind {
-    /// Plain Dijkstra (the `ZeroHeuristic` instantiation).
-    Reference,
-    /// Goal-directed A\* with the hop-bound heuristic.
-    #[default]
-    Astar,
-}
-
-impl std::str::FromStr for SearchKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "reference" => Ok(SearchKind::Reference),
-            "astar" => Ok(SearchKind::Astar),
-            other => Err(format!("unknown search kind '{other}' (expected reference|astar)")),
-        }
-    }
-}
-
-impl std::fmt::Display for SearchKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SearchKind::Reference => "reference",
-            SearchKind::Astar => "astar",
-        })
-    }
-}
+use std::collections::BinaryHeap;
 
 /// Everything a cost model gets to see when an edge is relaxed.
 #[derive(Debug)]
@@ -143,82 +108,6 @@ impl Heuristic for HopBoundHeuristic<'_> {
     #[inline]
     fn estimate(&self, node: NodeId) -> f64 {
         self.hops_lb[node.index()] as f64 * self.unit
-    }
-}
-
-/// Relative slack applied to per-hop cost floors before they enter the
-/// heuristic, so floating-point rounding in `hops × unit` can never tip an
-/// exact lower bound into inadmissibility.
-pub(crate) const UNIT_SLACK: f64 = 1.0 - 1e-9;
-
-/// Per-`TopologySeries` geometry for the hop-bound heuristic: the longest
-/// edge reach per slot and, per `(slot, destination)`, the conservative
-/// per-node hop lower bounds (straight-line distance over the slot's
-/// longest edge, slack-rounded so float noise can never overestimate).
-/// Anchored on the series `Arc` identity (the held clone keeps the
-/// allocation alive, so pointer equality cannot alias two different
-/// series).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GeomCache {
-    anchor: Option<Arc<TopologySeries>>,
-    reach: HashMap<u32, f64>,
-    hops: HashMap<(u32, u32), Arc<Vec<u32>>>,
-}
-
-impl GeomCache {
-    fn ensure_anchor(&mut self, series: &Arc<TopologySeries>) {
-        let stale = match &self.anchor {
-            Some(a) => !Arc::ptr_eq(a, series),
-            None => true,
-        };
-        if stale {
-            self.anchor = Some(Arc::clone(series));
-            self.reach.clear();
-            self.hops.clear();
-        }
-    }
-
-    /// The slot's maximum per-hop reach: the longest straight-line
-    /// endpoint distance over all edges in the snapshot.
-    fn max_hop_reach_m(&mut self, series: &Arc<TopologySeries>, slot: SlotIndex) -> f64 {
-        self.ensure_anchor(series);
-        *self.reach.entry(slot.0).or_insert_with(|| {
-            let snapshot = series.snapshot(slot);
-            let mut reach = 0.0f64;
-            for edge in snapshot.edges() {
-                let span = snapshot.position(edge.src).distance(snapshot.position(edge.dst));
-                reach = reach.max(span);
-            }
-            reach
-        })
-    }
-
-    /// Per-node hop lower bounds toward `destination` in `slot`.
-    pub(crate) fn hop_bounds(
-        &mut self,
-        series: &Arc<TopologySeries>,
-        slot: SlotIndex,
-        destination: NodeId,
-    ) -> Arc<Vec<u32>> {
-        self.ensure_anchor(series);
-        if let Some(bounds) = self.hops.get(&(slot.0, destination.0)) {
-            return Arc::clone(bounds);
-        }
-        if self.hops.len() >= 8192 {
-            self.hops.clear();
-        }
-        let reach = self.max_hop_reach_m(series, slot);
-        let snapshot = series.snapshot(slot);
-        let goal = snapshot.position(destination);
-        let bounds: Vec<u32> = (0..snapshot.num_nodes())
-            .map(|i| {
-                let here = snapshot.position(NodeId(i as u32));
-                sb_geo::conservative_hop_count(here.distance(goal), reach)
-            })
-            .collect();
-        let bounds = Arc::new(bounds);
-        self.hops.insert((slot.0, destination.0), Arc::clone(&bounds));
-        bounds
     }
 }
 
@@ -1057,18 +946,6 @@ mod tests {
             pruned += scratch.take_stats().heuristic_prunes;
         }
         assert!(pruned > 0, "A* never cut the frontier across 50 instances");
-    }
-
-    #[test]
-    fn search_kind_parses_and_rejects() {
-        assert_eq!("reference".parse::<SearchKind>().unwrap(), SearchKind::Reference);
-        assert_eq!("astar".parse::<SearchKind>().unwrap(), SearchKind::Astar);
-        assert!("dijkstra".parse::<SearchKind>().is_err());
-        assert!("".parse::<SearchKind>().is_err());
-        assert!("Astar".parse::<SearchKind>().is_err());
-        assert_eq!(SearchKind::Reference.to_string(), "reference");
-        assert_eq!(SearchKind::Astar.to_string(), "astar");
-        assert_eq!(SearchKind::default(), SearchKind::Astar);
     }
 
     #[test]

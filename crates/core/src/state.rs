@@ -219,20 +219,11 @@ pub struct NetworkState {
     /// [`EnergyLedger::flat_index`]; bumped whenever the cell's cumulative
     /// deficit (what battery prices read) may have changed.
     battery_epoch: Vec<u64>,
-    /// Coarse per-slot bandwidth generation: the epoch of the most recent
-    /// mutation that touched *any* bandwidth cell of the slot. Lets a
-    /// whole-slot artifact (e.g. a cached shortest-path tree) revalidate
-    /// in O(1) instead of per cell; conservative — a commit on any edge of
-    /// the slot invalidates it.
-    slot_bandwidth_gen: Vec<u64>,
     /// Per-satellite row generation: the epoch of the most recent mutation
     /// that touched any deficit cell of the satellite's horizon row, i.e.
     /// the newest epoch in its `battery_epoch` row. Unchanged iff the whole
     /// row is.
     battery_row_gen: Vec<u64>,
-    /// Coarse battery generation: the epoch of the most recent mutation
-    /// that touched any battery deficit cell of any satellite.
-    battery_gen: u64,
     /// Every committed booking, in commit order (see [`BookingEntry`]).
     bookings: Vec<BookingEntry>,
 }
@@ -255,7 +246,6 @@ impl NetworkState {
         let epoch = next_epoch();
         let bandwidth_epoch = reserved_mbps.iter().map(|row| vec![epoch; row.len()]).collect();
         let battery_epoch = vec![epoch; num_satellites * series.num_slots()];
-        let slot_bandwidth_gen = vec![epoch; series.num_slots()];
         NetworkState {
             series,
             num_satellites,
@@ -264,21 +254,13 @@ impl NetworkState {
             reserved_mbps,
             bandwidth_epoch,
             battery_epoch,
-            slot_bandwidth_gen,
             battery_row_gen: vec![epoch; num_satellites],
-            battery_gen: epoch,
             bookings: Vec::new(),
         }
     }
 
     /// The underlying topology series.
     pub fn series(&self) -> &TopologySeries {
-        &self.series
-    }
-
-    /// The shared handle to the topology series (cache anchors key on its
-    /// `Arc` identity).
-    pub fn series_arc(&self) -> &Arc<TopologySeries> {
         &self.series
     }
 
@@ -377,21 +359,6 @@ impl NetworkState {
         self.battery_row_gen[sat]
     }
 
-    /// Coarse generation of `slot`'s whole bandwidth plane: unchanged iff
-    /// no bandwidth cell of the slot was mutated since. Same epoch
-    /// semantics as [`Self::bandwidth_epoch`], one value per slot.
-    #[inline]
-    pub fn slot_bandwidth_gen(&self, slot: SlotIndex) -> u64 {
-        self.slot_bandwidth_gen[slot.index()]
-    }
-
-    /// Coarse generation of the whole battery plane: unchanged iff no
-    /// deficit cell of any satellite was mutated since.
-    #[inline]
-    pub fn battery_gen(&self) -> u64 {
-        self.battery_gen
-    }
-
     /// The constellation index of a node, when it is a broadband satellite.
     pub fn satellite_index(&self, node: sb_topology::NodeId) -> Option<usize> {
         match self.series.snapshots().first()?.kind(node) {
@@ -469,13 +436,11 @@ impl NetworkState {
         for (&(slot, edge), &mbps) in &demand {
             self.reserved_mbps[slot.index()][edge.index()] += mbps;
             self.bandwidth_epoch[slot.index()][edge.index()] = epoch;
-            self.slot_bandwidth_gen[slot.index()] = epoch;
         }
         for i in delta.deficit_indices() {
             self.battery_epoch[i] = epoch;
             // Flat ledger indices are satellite-major.
             self.battery_row_gen[i / self.series.num_slots()] = epoch;
-            self.battery_gen = epoch;
         }
         self.ledger.absorb(delta);
         let mut bw: Vec<(SlotIndex, EdgeId, f64)> =
@@ -533,7 +498,6 @@ impl NetworkState {
         for &(s, e) in &released_cells {
             self.reserved_mbps[s.index()][e.index()] = 0.0;
             self.bandwidth_epoch[s.index()][e.index()] = epoch;
-            self.slot_bandwidth_gen[s.index()] = epoch;
         }
         for b in &self.bookings {
             for &(s, e, mbps) in &b.bw {
@@ -552,7 +516,6 @@ impl NetworkState {
         for &sat in &released_sats {
             self.ledger.reset_satellite(sat);
             self.battery_row_gen[sat] = epoch;
-            self.battery_gen = epoch;
             for t in 0..self.horizon() {
                 self.battery_epoch[self.ledger.flat_index(sat, t)] = epoch;
             }
@@ -700,7 +663,6 @@ impl NetworkState {
         let epoch = next_epoch();
         let bandwidth_epoch = reserved_mbps.iter().map(|row| vec![epoch; row.len()]).collect();
         let battery_epoch = vec![epoch; num_satellites * series.num_slots()];
-        let slot_bandwidth_gen = vec![epoch; series.num_slots()];
         Ok(NetworkState {
             series,
             num_satellites,
@@ -709,9 +671,7 @@ impl NetworkState {
             reserved_mbps,
             bandwidth_epoch,
             battery_epoch,
-            slot_bandwidth_gen,
             battery_row_gen: vec![epoch; num_satellites],
-            battery_gen: epoch,
             bookings,
         })
     }
@@ -725,7 +685,6 @@ impl NetworkState {
         let epoch = next_epoch();
         self.reserved_mbps[slot.index()][edge.index()] = mbps;
         self.bandwidth_epoch[slot.index()][edge.index()] = epoch;
-        self.slot_bandwidth_gen[slot.index()] = epoch;
     }
 
     /// Test-only epoch invalidator: advances the epoch of one battery
@@ -737,7 +696,6 @@ impl NetworkState {
         let epoch = next_epoch();
         self.battery_epoch[self.ledger.flat_index(sat, t)] = epoch;
         self.battery_row_gen[sat] = epoch;
-        self.battery_gen = epoch;
     }
 
     /// Test-only mutable ledger access, for injecting ledger corruption.
@@ -748,7 +706,6 @@ impl NetworkState {
         let epoch = next_epoch();
         self.battery_epoch.fill(epoch);
         self.battery_row_gen.fill(epoch);
-        self.battery_gen = epoch;
         &mut self.ledger
     }
 
@@ -1292,46 +1249,6 @@ mod tests {
         // Healthy cells are unaffected by the guard.
         state.debug_set_reserved(slot, edge, 250.0);
         assert_eq!(state.utilization(slot, edge), 0.25);
-    }
-
-    #[test]
-    fn slot_and_battery_generations_track_mutations() {
-        let (mut state, src, dst) = small_state();
-        let g0 = state.slot_bandwidth_gen(SlotIndex(0));
-        let g1 = state.slot_bandwidth_gen(SlotIndex(1));
-        let b0 = state.battery_gen();
-
-        // A bandwidth write to slot 0 moves only slot 0's generation.
-        state.debug_set_reserved(SlotIndex(0), EdgeId(0), 10.0);
-        assert_ne!(state.slot_bandwidth_gen(SlotIndex(0)), g0);
-        assert_eq!(state.slot_bandwidth_gen(SlotIndex(1)), g1);
-        assert_eq!(state.battery_gen(), b0);
-
-        // A battery bump moves only the battery generation.
-        let g0 = state.slot_bandwidth_gen(SlotIndex(0));
-        state.debug_bump_battery_epoch(0, 0);
-        assert_ne!(state.battery_gen(), b0);
-        assert_eq!(state.slot_bandwidth_gen(SlotIndex(0)), g0);
-
-        // A commit moves the touched slot's generation and the battery
-        // generation; a release moves them again.
-        if let Some(plan) = direct_plan(&state, src, dst, SlotIndex(0)) {
-            let req = request(src, dst, 900.0);
-            let (g0, g1, b) = (
-                state.slot_bandwidth_gen(SlotIndex(0)),
-                state.slot_bandwidth_gen(SlotIndex(1)),
-                state.battery_gen(),
-            );
-            state.try_commit_plan(&req, &plan).unwrap();
-            assert_ne!(state.slot_bandwidth_gen(SlotIndex(0)), g0);
-            assert_eq!(state.slot_bandwidth_gen(SlotIndex(1)), g1);
-            assert_ne!(state.battery_gen(), b);
-
-            let (g0, b) = (state.slot_bandwidth_gen(SlotIndex(0)), state.battery_gen());
-            state.release_from(state.last_booking().unwrap(), SlotIndex(0));
-            assert_ne!(state.slot_bandwidth_gen(SlotIndex(0)), g0);
-            assert_ne!(state.battery_gen(), b);
-        }
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub struct FleetOptions {
     pub chaos: ChaosPlan,
     /// Topology build threads inside each worker (bit-identical).
     pub build_threads: usize,
-    /// Shortest-path kernel inside each admission (bit-identical).
-    pub search: sb_sim::SearchKind,
 }
 
 impl FleetOptions {
@@ -78,7 +76,6 @@ impl FleetOptions {
             sched: SchedConfig::default(),
             chaos: ChaosPlan::default(),
             build_threads: 1,
-            search: sb_sim::SearchKind::default(),
         }
     }
 }
@@ -318,9 +315,7 @@ pub fn run_fleet(cells: &[SweepCell], opts: &FleetOptions) -> Result<FleetOutcom
     // seed)` need the same prepared series, so the coordinator compiles
     // each distinct package once, ships it in the job frame (inline or
     // spilled), and asks the scheduler to route repeat keys back to a
-    // worker already holding the materialized series. `SB_FLEET_NO_SHIP=1`
-    // disables shipping (workers rebuild locally) — the escape hatch CI
-    // byte-diffs against, since shipping must never change results.
+    // worker already holding the materialized series.
     let affinity: Vec<u64> = cells
         .iter()
         .map(|c| {
@@ -331,45 +326,40 @@ pub fn run_fleet(cells: &[SweepCell], opts: &FleetOptions) -> Result<FleetOutcom
         })
         .collect();
     sched.set_affinity(affinity.clone());
-    let no_ship = std::env::var_os("SB_FLEET_NO_SHIP").is_some_and(|v| v != "0");
     let mut shipments: HashMap<u64, Option<SeriesShipment>> = HashMap::new();
-    if no_ship {
-        eprintln!("fleet: SB_FLEET_NO_SHIP set; workers rebuild every series locally");
-    } else {
-        let compile_start = Instant::now();
-        let mut wire_bytes = 0usize;
-        for (i, c) in cells.iter().enumerate() {
-            if *sched.cell_status(i) == CellStatus::Done || shipments.contains_key(&affinity[i]) {
-                continue; // resumed cell, or package already compiled
-            }
-            let bytes = sb_sim::engine::compile_series_package(&c.scenario, c.seed).encode();
-            let digest = sb_wire::checksum(&bytes);
-            wire_bytes += bytes.len();
-            let ship = if bytes.len() <= INLINE_SHIP_MAX_BYTES {
-                Some(SeriesShipment::Inline(bytes))
-            } else {
-                match results::store_series(&opts.results_dir, digest, &bytes) {
-                    Ok(path) => Some(SeriesShipment::Spill {
-                        path: path.to_string_lossy().into_owned(),
-                        digest,
-                    }),
-                    Err(e) => {
-                        eprintln!(
-                            "fleet: cannot spill series {digest:016x} ({e}); shipping nothing for this key"
-                        );
-                        None
-                    }
-                }
-            };
-            shipments.insert(affinity[i], ship);
+    let compile_start = Instant::now();
+    let mut wire_bytes = 0usize;
+    for (i, c) in cells.iter().enumerate() {
+        if *sched.cell_status(i) == CellStatus::Done || shipments.contains_key(&affinity[i]) {
+            continue; // resumed cell, or package already compiled
         }
-        eprintln!(
-            "fleet: compiled {} series package(s), {} wire bytes, in {} ms",
-            shipments.len(),
-            wire_bytes,
-            compile_start.elapsed().as_millis()
-        );
+        let bytes = sb_sim::engine::compile_series_package(&c.scenario, c.seed).encode();
+        let digest = sb_wire::checksum(&bytes);
+        wire_bytes += bytes.len();
+        let ship = if bytes.len() <= INLINE_SHIP_MAX_BYTES {
+            Some(SeriesShipment::Inline(bytes))
+        } else {
+            match results::store_series(&opts.results_dir, digest, &bytes) {
+                Ok(path) => Some(SeriesShipment::Spill {
+                    path: path.to_string_lossy().into_owned(),
+                    digest,
+                }),
+                Err(e) => {
+                    eprintln!(
+                        "fleet: cannot spill series {digest:016x} ({e}); shipping nothing for this key"
+                    );
+                    None
+                }
+            }
+        };
+        shipments.insert(affinity[i], ship);
     }
+    eprintln!(
+        "fleet: compiled {} series package(s), {} wire bytes, in {} ms",
+        shipments.len(),
+        wire_bytes,
+        compile_start.elapsed().as_millis()
+    );
 
     // Spawn the fleet. Any spawn failure degrades the whole sweep to
     // in-process execution — the results are identical, only isolation
@@ -416,7 +406,6 @@ pub fn run_fleet(cells: &[SweepCell], opts: &FleetOptions) -> Result<FleetOutcom
                         seed: c.seed,
                         digest: digests[cell],
                         build_threads: opts.build_threads,
-                        search: opts.search,
                         chaos: opts.chaos.worker_chaos(cell, attempt),
                         ship: shipments.get(&affinity[cell]).cloned().flatten(),
                     };
@@ -593,7 +582,6 @@ fn run_in_process(
             seed: c.seed,
             digest: digests[i],
             build_threads: opts.build_threads,
-            search: opts.search,
             chaos: None,
             ship: None,
         };

@@ -18,15 +18,15 @@
 //! not the one it dispatched.
 
 use sb_sim::engine::{run_digest, AlgorithmKind};
-use sb_sim::{ScenarioConfig, SearchKind};
+use sb_sim::ScenarioConfig;
 use sb_wire::{Reader, WireError, Writer};
 
 /// Protocol version; bumped on any frame-format change. A worker greets
 /// with its version and the coordinator refuses a mismatch outright
 /// rather than misparse jobs. Version 3 added the optional shipped
 /// topology series ([`SeriesShipment`]) to [`CellSpec`]; version 4 dropped
-/// its speculative-quoting thread count.
-pub const PROTO_VERSION: u32 = 4;
+/// its speculative-quoting thread count, version 5 its search-kernel tag.
+pub const PROTO_VERSION: u32 = 5;
 
 /// Upper bound on one protocol frame's payload. Cells are a few KB of
 /// JSON and metrics a few KB of wire encoding; 16 MiB is comfortably
@@ -144,8 +144,6 @@ pub struct CellSpec {
     pub digest: u64,
     /// Topology build threads (bit-identical).
     pub build_threads: usize,
-    /// Shortest-path kernel inside each admission (bit-identical).
-    pub search: SearchKind,
     /// Scripted self-sabotage, if the chaos plan targets this attempt.
     pub chaos: Option<WorkerChaos>,
     /// The pre-compiled topology series for this cell's
@@ -162,10 +160,6 @@ impl CellSpec {
         w.u64(self.seed);
         w.u64(self.digest);
         w.usize(self.build_threads);
-        w.u8(match self.search {
-            SearchKind::Reference => 0,
-            SearchKind::Astar => 1,
-        });
         WorkerChaos::encode(&self.chaos, w);
         SeriesShipment::encode(&self.ship, w);
     }
@@ -190,11 +184,6 @@ impl CellSpec {
                 detail: "zero build thread count in cell spec".to_owned(),
             });
         }
-        let search = match r.u8()? {
-            0 => SearchKind::Reference,
-            1 => SearchKind::Astar,
-            tag => return Err(WireError::BadTag { tag, context: "SearchKind" }),
-        };
         let chaos = WorkerChaos::decode(r)?;
         let ship = SeriesShipment::decode(r)?;
         let expected = run_digest(&scenario, &kind, seed);
@@ -206,7 +195,7 @@ impl CellSpec {
                 ),
             });
         }
-        Ok(CellSpec { label, scenario, kind, seed, digest, build_threads, search, chaos, ship })
+        Ok(CellSpec { label, scenario, kind, seed, digest, build_threads, chaos, ship })
     }
 }
 
@@ -447,7 +436,6 @@ mod tests {
             kind,
             seed,
             build_threads: 2,
-            search: SearchKind::Reference,
             chaos: Some(WorkerChaos::KillAtSlot(3)),
             ship: Some(SeriesShipment::Inline(vec![1, 2, 3, 4])),
         }

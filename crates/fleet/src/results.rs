@@ -2,18 +2,20 @@
 //!
 //! Every completed cell is persisted as `cell_<digest>.bin` under the
 //! results directory, keyed by [`sb_sim::engine::run_digest`] over the
-//! cell's `(scenario, algorithm, seed)`. Writes are atomic (temp file +
-//! `fsync` + rename, then a directory fsync) so a coordinator killed at
-//! any instant leaves either the complete old state or the complete new
-//! state — never a torn record. Resume is a directory scan: cells whose
-//! file exists and verifies are done, everything else is re-dispatched.
+//! cell's `(scenario, algorithm, seed)`. Writes are atomic
+//! ([`sb_wire::sealed`]: temp file + `fsync` + rename, then a directory
+//! fsync) so a coordinator killed at any instant leaves either the
+//! complete old state or the complete new state — never a torn record.
+//! Resume is a directory scan: cells whose file exists and verifies are
+//! done, everything else is re-dispatched.
 //! Because the key is the config digest, a results directory can never
 //! leak a stale result into a changed sweep — a different config is a
 //! different file name.
 
 use sb_sim::RunMetrics;
+use sb_wire::sealed;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a cell-result file.
@@ -37,39 +39,15 @@ pub fn store(dir: &Path, digest: u64, metrics: &RunMetrics) -> io::Result<()> {
     let mut body = sb_wire::Writer::new();
     body.u64(digest);
     metrics.encode(&mut body);
-    let body = body.into_bytes();
-    let mut bytes = Vec::with_capacity(CELL_MAGIC.len() + 8 + body.len());
-    bytes.extend_from_slice(CELL_MAGIC);
-    bytes.extend_from_slice(&sb_wire::checksum(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
-
-    let path = cell_path(dir, digest);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    // The rename itself must survive a crash: fsync the directory entry.
-    // Failure here is non-fatal on filesystems that cannot open dirs.
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    sealed::write_atomic(&cell_path(dir, digest), CELL_MAGIC, &body.into_bytes())
 }
 
 /// Loads one cell's metrics if its file exists and verifies (magic,
 /// checksum, digest). Anything torn, corrupt or foreign reads as `None` —
 /// the cell simply re-runs.
 pub fn load(dir: &Path, digest: u64) -> Option<RunMetrics> {
-    let bytes = fs::read(cell_path(dir, digest)).ok()?;
-    let body = bytes.strip_prefix(CELL_MAGIC.as_slice())?;
-    let (sum, body) = body.split_first_chunk::<8>()?;
-    if u64::from_le_bytes(*sum) != sb_wire::checksum(body) {
-        return None;
-    }
-    let mut r = sb_wire::Reader::new(body);
+    let body = sealed::read(&cell_path(dir, digest), CELL_MAGIC)?;
+    let mut r = sb_wire::Reader::new(&body);
     if r.u64().ok()? != digest {
         return None;
     }
@@ -93,39 +71,19 @@ pub fn series_path(dir: &Path, digest: u64) -> PathBuf {
 /// Propagates I/O errors (the caller degrades to shipping nothing).
 pub fn store_series(dir: &Path, digest: u64, package: &[u8]) -> io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
-    let mut bytes = Vec::with_capacity(SERIES_MAGIC.len() + 8 + package.len());
-    bytes.extend_from_slice(SERIES_MAGIC);
-    bytes.extend_from_slice(&digest.to_le_bytes());
-    bytes.extend_from_slice(package);
-
     let path = series_path(dir, digest);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    if let Ok(d) = fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    sealed::write_atomic(&path, SERIES_MAGIC, package)?;
     Ok(path)
 }
 
 /// Loads one spilled series package if the file exists and verifies:
-/// magic, stored digest, and the package bytes actually hashing to that
-/// digest (the digest *is* the content checksum, so one comparison
-/// covers both identity and integrity). Anything torn, corrupt or
-/// foreign reads as `None` — the worker simply rebuilds the series
-/// locally.
+/// magic, the sealed file's checksum, and the package bytes hashing to
+/// `digest` (the digest *is* the content checksum, so a spill is a sealed
+/// file whose checksum names it). Anything torn, corrupt or foreign reads
+/// as `None` — the worker simply rebuilds the series locally.
 pub fn load_series(path: &Path, digest: u64) -> Option<Vec<u8>> {
-    let bytes = fs::read(path).ok()?;
-    let body = bytes.strip_prefix(SERIES_MAGIC.as_slice())?;
-    let (stored, package) = body.split_first_chunk::<8>()?;
-    if u64::from_le_bytes(*stored) != digest || sb_wire::checksum(package) != digest {
-        return None;
-    }
-    Some(package.to_vec())
+    let package = sealed::read(path, SERIES_MAGIC)?;
+    (sb_wire::checksum(&package) == digest).then_some(package)
 }
 
 #[cfg(test)]

@@ -118,9 +118,7 @@ pub fn run_cell(
 ) -> RunMetrics {
     let prepared = prepared_for(spec, cache, ships);
     let requests = sb_sim::engine::workload(&spec.scenario, &prepared, spec.seed);
-    let mut algorithm = spec
-        .kind
-        .instantiate_exec(&sb_sim::ExecOptions { search: spec.search, ..Default::default() });
+    let mut algorithm = spec.kind.instantiate();
     let mut core = EngineCore::new(&spec.scenario, &prepared, &requests, spec.seed);
     while !core.is_complete() {
         match spec.chaos {
@@ -226,7 +224,6 @@ mod tests {
             kind,
             seed,
             build_threads: 1,
-            search: sb_sim::SearchKind::default(),
             chaos: None,
             ship: None,
         }
@@ -243,7 +240,7 @@ mod tests {
         let mut shipped = spec(5);
         shipped.ship = Some(shipment_for(&shipped));
 
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let mut ships = ShipCache::default();
         let mut from_ship = run_cell(&shipped, &cache, &mut ships, |_| {});
         assert_eq!(ships.len(), 1, "the materialized series must be cached");
@@ -262,7 +259,7 @@ mod tests {
 
     #[test]
     fn unusable_shipment_falls_back_to_local_rebuild() {
-        let reference = run_cell_local(&spec(4), &PreparedCache::with_disabled(1, false), |_| {});
+        let reference = run_cell_local(&spec(4), &PreparedCache::new(1), |_| {});
         let corrupt = [
             SeriesShipment::Inline(vec![0xff; 48]),
             SeriesShipment::Spill { path: "/nonexistent/series.bin".into(), digest: 1 },
@@ -271,7 +268,7 @@ mod tests {
             let mut s = spec(4);
             s.ship = Some(ship);
             let mut ships = ShipCache::default();
-            let mut got = run_cell(&s, &PreparedCache::with_disabled(1, false), &mut ships, |_| {});
+            let mut got = run_cell(&s, &PreparedCache::new(1), &mut ships, |_| {});
             assert!(ships.is_empty(), "garbage must not be cached");
             let mut want = reference.clone();
             got.processing_ms = 0;
@@ -283,7 +280,7 @@ mod tests {
     #[test]
     fn local_run_matches_engine_and_heartbeats_every_slot() {
         let s = spec(3);
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let mut beats = Vec::new();
         let mut ours = run_cell_local(&s, &cache, |slot| beats.push(slot));
         let prepared = sb_sim::engine::prepare(&s.scenario, s.seed);

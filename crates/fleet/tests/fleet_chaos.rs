@@ -49,7 +49,6 @@ fn reference(cells: &[SweepCell]) -> Vec<RunMetrics> {
                 seed: c.seed,
                 digest: run_digest(&c.scenario, &c.kind, c.seed),
                 build_threads: 1,
-                search: sb_sim::SearchKind::default(),
                 chaos: None,
                 ship: None,
             };

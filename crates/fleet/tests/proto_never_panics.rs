@@ -23,7 +23,6 @@ fn sample_spec() -> CellSpec {
         kind,
         seed: 7,
         build_threads: 3,
-        search: sb_sim::SearchKind::Astar,
         chaos: Some(sb_fleet::proto::WorkerChaos::KillAtSlot(4)),
         ship: Some(sb_fleet::proto::SeriesShipment::Spill {
             path: "/tmp/series_0123.bin".into(),

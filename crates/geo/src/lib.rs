@@ -82,23 +82,6 @@ impl core::fmt::Display for Epoch {
     }
 }
 
-/// Conservative lower bound on the number of hops needed to span
-/// `distance_m` when no single hop covers more than `max_hop_m`.
-///
-/// This is `ceil(distance / max_hop)` computed with a relative slack of
-/// `1e-9` applied *before* the ceiling, so floating-point rounding in the
-/// division can never push the result above the true bound — the returned
-/// count is always admissible as an A* hop heuristic. Degenerate inputs
-/// (non-positive distance or hop reach, NaN) yield 0, the trivially
-/// admissible bound.
-pub fn conservative_hop_count(distance_m: f64, max_hop_m: f64) -> u32 {
-    let positive = |x: f64| x.partial_cmp(&0.0) == Some(core::cmp::Ordering::Greater);
-    if !positive(distance_m) || !positive(max_hop_m) {
-        return 0;
-    }
-    (distance_m * (1.0 - 1e-9) / max_hop_m).ceil() as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,28 +103,5 @@ mod tests {
     #[test]
     fn gmst_zero_at_start() {
         assert_eq!(Epoch::from_seconds(0.0).gmst(), 0.0);
-    }
-
-    #[test]
-    fn hop_count_basic() {
-        assert_eq!(conservative_hop_count(0.0, 1000.0), 0);
-        assert_eq!(conservative_hop_count(-5.0, 1000.0), 0);
-        assert_eq!(conservative_hop_count(1.0, 0.0), 0);
-        assert_eq!(conservative_hop_count(f64::NAN, 1000.0), 0);
-        assert_eq!(conservative_hop_count(999.0, 1000.0), 1);
-        assert_eq!(conservative_hop_count(1000.0, 1000.0), 1);
-        assert_eq!(conservative_hop_count(1001.0, 1000.0), 2);
-        assert_eq!(conservative_hop_count(2500.0, 1000.0), 3);
-    }
-
-    #[test]
-    fn hop_count_never_exceeds_true_bound() {
-        // For exact multiples the slack must keep the count at d/h, never
-        // d/h + 1 from a division that rounds up by one ulp.
-        for k in 1..200u32 {
-            let h = 1234.567_f64;
-            let d = h * k as f64;
-            assert_eq!(conservative_hop_count(d, h), k, "k={k}");
-        }
     }
 }

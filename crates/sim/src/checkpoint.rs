@@ -25,16 +25,16 @@
 //! * core payload — [`crate::engine::EngineCore`] state, see its
 //!   `encode`.
 //!
-//! Files are named `ckpt_{slot:05}.bin` and written atomically (temp file,
-//! fsync, rename, directory fsync), so a crash mid-checkpoint leaves at
-//! worst a stale temp file, never a half-written checkpoint under the
-//! final name. [`load_latest`] walks candidates newest-first and silently
-//! skips any that fail validation — a corrupt latest checkpoint costs
-//! some replay time, not the run.
+//! Files are named `ckpt_{slot:05}.bin` and written atomically as
+//! [`sb_wire::sealed`] files (temp file, fsync, rename, directory fsync),
+//! so a crash mid-checkpoint leaves at worst a stale temp file, never a
+//! half-written checkpoint under the final name. [`load_latest`] walks
+//! candidates newest-first and silently skips any that fail validation — a
+//! corrupt latest checkpoint costs some replay time, not the run.
 
-use sb_wire::{checksum, Reader, Writer};
-use std::fs::{self, File};
-use std::io::{self, Write as _};
+use sb_wire::{sealed, Reader, Writer};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Format magic; bump the digits when the layout changes.
@@ -75,47 +75,25 @@ pub fn write(
     body.u32(slot);
     body.u64(journal_len);
     body.raw(core_payload);
-    let body = body.into_bytes();
-
-    let mut bytes = Vec::with_capacity(MAGIC.len() + 8 + body.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&checksum(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
-
-    let tmp = dir.join(format!("{}.tmp", file_name(slot)));
     let path = dir.join(file_name(slot));
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
-    // Make the rename itself durable; best-effort where the platform
-    // does not support fsync on directories.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    sealed::write_atomic(&path, MAGIC, &body.into_bytes())?;
     Ok(path)
 }
 
 /// Parses one checkpoint file, returning `None` if it is malformed or
 /// belongs to a different run.
 fn parse(path: &Path, config_digest: u64) -> Option<LoadedCheckpoint> {
-    let bytes = fs::read(path).ok()?;
-    let body = bytes.strip_prefix(MAGIC.as_slice())?;
-    let (sum, body) = body.split_first_chunk::<8>()?;
-    if u64::from_le_bytes(*sum) != checksum(body) {
-        return None;
-    }
-    let mut r = Reader::new(body);
+    let mut body = sealed::read(path, MAGIC)?;
+    let mut r = Reader::new(&body);
     let digest = r.u64().ok()?;
     if digest != config_digest {
         return None;
     }
     let slot = r.u32().ok()?;
     let journal_len = r.u64().ok()?;
-    let payload = body[(body.len() - r.remaining())..].to_vec();
-    Some(LoadedCheckpoint { path: path.to_path_buf(), slot, journal_len, payload })
+    let header = body.len() - r.remaining();
+    body.drain(..header);
+    Some(LoadedCheckpoint { path: path.to_path_buf(), slot, journal_len, payload: body })
 }
 
 /// Finds the newest valid checkpoint for this run in `dir`: highest slot

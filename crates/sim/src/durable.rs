@@ -30,7 +30,7 @@
 //! [`crate::engine::run_digest`].
 
 use crate::checkpoint;
-use crate::engine::{run_digest, AlgorithmKind, EngineCore, ExecOptions, PreparedNetwork};
+use crate::engine::{run_digest, AlgorithmKind, EngineCore, PreparedNetwork};
 use crate::journal::{self, Journal, JournalRecord};
 use crate::metrics::RunMetrics;
 use crate::scenario::ScenarioConfig;
@@ -38,7 +38,7 @@ use sb_demand::Request;
 use sb_wire::{Reader, Writer};
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of `final.bin` (cached finished-run metrics).
@@ -144,10 +144,6 @@ pub struct DurabilityOptions {
     /// Stop (returning [`RunOutcome::Halted`]) before executing this
     /// slot — a testing hook that simulates a crash at an exact boundary.
     pub halt_before_slot: Option<usize>,
-    /// Execution knobs (quote worker threads). Bit-identical for every
-    /// configuration, so checkpoints and journals written under one
-    /// thread count resume cleanly under another.
-    pub exec: ExecOptions,
 }
 
 impl DurabilityOptions {
@@ -158,7 +154,6 @@ impl DurabilityOptions {
             checkpoint_every: 1,
             resume: false,
             halt_before_slot: None,
-            exec: ExecOptions::default(),
         }
     }
 }
@@ -218,28 +213,12 @@ fn write_final(path: &Path, digest: u64, metrics: &RunMetrics) -> io::Result<()>
     let mut body = Writer::new();
     body.u64(digest);
     metrics.encode(&mut body);
-    let body = body.into_bytes();
-    let mut bytes = Vec::with_capacity(FINAL_MAGIC.len() + 8 + body.len());
-    bytes.extend_from_slice(FINAL_MAGIC);
-    bytes.extend_from_slice(&sb_wire::checksum(&body).to_le_bytes());
-    bytes.extend_from_slice(&body);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
+    sb_wire::sealed::write_atomic(path, FINAL_MAGIC, &body.into_bytes())
 }
 
 fn read_final(path: &Path, digest: u64) -> Option<RunMetrics> {
-    let bytes = fs::read(path).ok()?;
-    let body = bytes.strip_prefix(FINAL_MAGIC.as_slice())?;
-    let (sum, body) = body.split_first_chunk::<8>()?;
-    if u64::from_le_bytes(*sum) != sb_wire::checksum(body) {
-        return None;
-    }
-    let mut r = Reader::new(body);
+    let body = sb_wire::sealed::read(path, FINAL_MAGIC)?;
+    let mut r = Reader::new(&body);
     if r.u64().ok()? != digest {
         return None;
     }
@@ -269,7 +248,7 @@ pub fn run_durable(
     fs::create_dir_all(&opts.dir).map_err(io_at(&opts.dir))?;
     let journal_path = opts.dir.join("journal.bin");
     let final_path = opts.dir.join("final.bin");
-    let mut algorithm = kind.instantiate_exec(&opts.exec);
+    let mut algorithm = kind.instantiate();
 
     let mut core;
     let mut verify: VecDeque<JournalRecord> = VecDeque::new();

@@ -34,8 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sb_cear::{
     repair, try_repair, AblationFlags, BookingId, Cear, CearParams, Decision, KnownFailures,
-    NetworkState, RejectReason, RepairOutcome, RepairPolicy, RoutingAlgorithm, SearchKind,
-    SlotPath,
+    NetworkState, RejectReason, RepairOutcome, RepairPolicy, RoutingAlgorithm, SlotPath,
 };
 use sb_demand::generator::{generate_workload, WorkloadConfig};
 use sb_demand::Request;
@@ -76,27 +75,17 @@ impl AlgorithmKind {
         ]
     }
 
-    /// Instantiates the algorithm with default execution options.
+    /// Instantiates the algorithm.
     pub fn instantiate(&self) -> Box<dyn RoutingAlgorithm> {
-        self.instantiate_exec(&ExecOptions::default())
-    }
-
-    /// Instantiates the algorithm with explicit execution options.
-    ///
-    /// Execution options tune *how* the algorithm computes (the search
-    /// kernel), never *what* it computes — every configuration is
-    /// bit-identical, so `ExecOptions` deliberately stays out of
-    /// [`ScenarioConfig`] and the run digest.
-    pub fn instantiate_exec(&self, exec: &ExecOptions) -> Box<dyn RoutingAlgorithm> {
         match self {
-            AlgorithmKind::Cear(params) => Box::new(Cear::new(*params).with_search(exec.search)),
+            AlgorithmKind::Cear(params) => Box::new(Cear::new(*params)),
             AlgorithmKind::CearAblated(params, flags) => {
-                Box::new(Cear::with_ablation(*params, *flags).with_search(exec.search))
+                Box::new(Cear::with_ablation(*params, *flags))
             }
-            AlgorithmKind::Ssp => Box::new(sb_cear::Ssp::new().with_search(exec.search)),
-            AlgorithmKind::Ecars => Box::new(sb_cear::Ecars::new().with_search(exec.search)),
-            AlgorithmKind::Eru => Box::new(sb_cear::Eru::new().with_search(exec.search)),
-            AlgorithmKind::Era => Box::new(sb_cear::Era::new().with_search(exec.search)),
+            AlgorithmKind::Ssp => Box::new(sb_cear::Ssp::new()),
+            AlgorithmKind::Ecars => Box::new(sb_cear::Ecars::new()),
+            AlgorithmKind::Eru => Box::new(sb_cear::Eru::new()),
+            AlgorithmKind::Era => Box::new(sb_cear::Era::new()),
         }
     }
 
@@ -118,27 +107,6 @@ impl AlgorithmKind {
             AlgorithmKind::Era => "ERA",
         }
     }
-}
-
-/// Execution knobs that tune *how* a run computes, never *what* it
-/// computes: every setting is bit-identical to the default. Kept apart
-/// from [`ScenarioConfig`] so checkpoints and run digests are portable
-/// across hosts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// The per-slot search kernel (all algorithms): the reference Dijkstra
-    /// or goal-directed A\* — bit-identical results either way (see
-    /// `sb_cear::SearchKind`).
-    pub search: SearchKind,
-    // Compatibility with the frozen `crates/benchmark`, which reads this
-    // field and hands it to the equally inert `Cear::with_quote_threads`:
-    // speculative slot-parallel quoting is deleted (EXPERIMENTS.md,
-    // "Removed: the SPT cache and speculative quoting") and nothing reads
-    // the value. Follow-up (`benchmark` archetype): drop `core.parquote_*`
-    // from BENCHMARK.json, then delete this field with `sb-cear`'s
-    // compatibility block.
-    #[doc(hidden)]
-    pub quote_threads: usize,
 }
 
 /// The prepared, workload-independent part of a run: node table, topology
@@ -347,20 +315,7 @@ pub fn run_prepared(
     kind: &AlgorithmKind,
     seed: u64,
 ) -> RunMetrics {
-    run_prepared_exec(scenario, prepared, requests, kind, seed, &ExecOptions::default())
-}
-
-/// [`run_prepared`] with explicit execution options (bit-identical for
-/// every `exec` configuration — the options tune speed, not results).
-pub fn run_prepared_exec(
-    scenario: &ScenarioConfig,
-    prepared: &PreparedNetwork,
-    requests: &[Request],
-    kind: &AlgorithmKind,
-    seed: u64,
-    exec: &ExecOptions,
-) -> RunMetrics {
-    let mut algorithm = kind.instantiate_exec(exec);
+    let mut algorithm = kind.instantiate();
     run_with_algorithm(scenario, prepared, requests, algorithm.as_mut(), seed)
 }
 
@@ -911,8 +866,8 @@ impl EngineCore {
     /// Computes the run's metrics. Call after the horizon is complete and
     /// [`EngineCore::drain_final`] has run.
     pub fn finalize(self, algorithm: &dyn RoutingAlgorithm) -> RunMetrics {
-        // The run is over: its thread's baseline caches would otherwise
-        // keep the topology series and every tree alive behind it.
+        // The run is over: its thread's baseline search arena would
+        // otherwise stay allocated at this network's size behind it.
         sb_cear::baselines::release_thread_caches();
         let EngineCore {
             scenario,
@@ -1116,6 +1071,47 @@ pub fn run(scenario: &ScenarioConfig, kind: &AlgorithmKind, seed: u64) -> RunMet
     run_prepared(scenario, &prepared, &requests, kind, seed)
 }
 
+// ---- Compatibility with the frozen `crates/benchmark` ------------------
+//
+// The `--search` knob and speculative slot-parallel quoting are deleted
+// (EXPERIMENTS.md, "Removed: hop-bound A\* in the product" and "Removed:
+// the SPT cache and speculative quoting"): there is one kernel and one
+// serial quote, so there are no execution options. `crates/benchmark`
+// still builds an `ExecOptions`, reads both fields and calls the two
+// `_exec` functions, and may only change in a PR of its own. Until then
+// the fields are ignored and the functions forward. Follow-up (`benchmark`
+// archetype): call `instantiate` / `run_prepared` from `crates/benchmark`,
+// then delete this block with `sb-cear`'s.
+
+/// Two ignored fields.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecOptions {
+    pub search: sb_cear::SearchCompat,
+    pub quote_threads: usize,
+}
+
+impl AlgorithmKind {
+    /// [`AlgorithmKind::instantiate`]; `exec` is ignored.
+    #[doc(hidden)]
+    pub fn instantiate_exec(&self, _exec: &ExecOptions) -> Box<dyn RoutingAlgorithm> {
+        self.instantiate()
+    }
+}
+
+/// [`run_prepared`]; `exec` is ignored.
+#[doc(hidden)]
+pub fn run_prepared_exec(
+    scenario: &ScenarioConfig,
+    prepared: &PreparedNetwork,
+    requests: &[Request],
+    kind: &AlgorithmKind,
+    seed: u64,
+    _exec: &ExecOptions,
+) -> RunMetrics {
+    run_prepared(scenario, prepared, requests, kind, seed)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1131,9 +1127,9 @@ mod tests {
 
     #[test]
     fn a_finished_run_releases_the_baseline_thread_caches() {
-        // Baselines route through the thread-local hop-bound geometry,
-        // which anchors on the series. A dedicated thread, so no other
-        // test's run shares the caches.
+        // Nothing a baseline keeps per thread may hold the series once the
+        // run is over. A dedicated thread, so no other test's run shares
+        // the caches.
         std::thread::spawn(|| {
             let scenario = ScenarioConfig::tiny();
             let prepared = prepare(&scenario, 3);
@@ -1172,49 +1168,6 @@ mod tests {
             b.processing_ms = a.processing_ms; // wall clock may differ
             assert_eq!(a, b, "seed {seed}");
             assert!(a.accepted_requests > 0, "seed {seed}: vacuous equivalence");
-        }
-    }
-
-    #[test]
-    fn search_kinds_leave_run_metrics_bit_identical() {
-        // Goal-directed A* is a pure acceleration: full engine runs — all
-        // five algorithms, failure-free and with unforeseen failures
-        // (repair quotes prune known-down edges) — must produce identical
-        // metrics for both kernels. This covers admission, commit, release
-        // and repair epochs against live price and geometry caches.
-        use crate::scenario::UnforeseenFailures;
-        use sb_topology::failures::{FailureModel, LinkFailureModel};
-
-        let mut with_failures = ScenarioConfig::tiny();
-        with_failures.unforeseen = Some(UnforeseenFailures {
-            model: FailureModel::IndependentLinks(LinkFailureModel::new(0.1, 0xfee1)),
-            policy: RepairPolicy::Repair,
-        });
-        for scenario in [ScenarioConfig::tiny(), with_failures] {
-            for kind in AlgorithmKind::all(&scenario) {
-                for seed in [0, 3] {
-                    let prepared = prepare(&scenario, seed);
-                    let requests = workload(&scenario, &prepared, seed);
-                    let a = run_prepared_exec(
-                        &scenario,
-                        &prepared,
-                        &requests,
-                        &kind,
-                        seed,
-                        &ExecOptions { search: SearchKind::Reference, ..ExecOptions::default() },
-                    );
-                    let mut b = run_prepared_exec(
-                        &scenario,
-                        &prepared,
-                        &requests,
-                        &kind,
-                        seed,
-                        &ExecOptions { search: SearchKind::Astar, ..ExecOptions::default() },
-                    );
-                    b.processing_ms = a.processing_ms; // wall clock may differ
-                    assert_eq!(a, b, "{} seed {seed}", kind.name());
-                }
-            }
         }
     }
 

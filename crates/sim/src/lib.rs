@@ -53,9 +53,8 @@ pub mod trace;
 pub mod viz;
 
 pub use durable::{run_durable, DurabilityOptions, EngineError, RunOutcome};
-pub use engine::{AlgorithmKind, ExecOptions};
+pub use engine::AlgorithmKind;
 pub use metrics::RunMetrics;
 pub use outage::FailureOracle;
 pub use prepared::PreparedCache;
-pub use sb_cear::SearchKind;
 pub use scenario::{ScenarioConfig, ShellConfig, UnforeseenFailures};

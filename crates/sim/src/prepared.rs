@@ -18,10 +18,6 @@
 //! bounded: the digest covers only the fields `prepare` reads, so e.g. a
 //! rate sweep collapses to one entry per seed no matter how many load
 //! points it evaluates.
-//!
-//! Setting the environment variable `SB_NO_PREPARE_CACHE` to anything but
-//! `0` disables memoization (every `get` builds fresh) — the escape hatch
-//! CI uses to diff cached sweeps against the uncached baseline.
 
 use crate::engine::{self, PreparedNetwork};
 use crate::scenario::ScenarioConfig;
@@ -44,28 +40,17 @@ pub struct PreparedCache {
     hits: AtomicU64,
     misses: AtomicU64,
     build_threads: usize,
-    disabled: bool,
 }
 
 impl PreparedCache {
     /// A cache whose builds fan snapshot construction across
-    /// `build_threads` workers ([`engine::prepare_with`]). Honors the
-    /// `SB_NO_PREPARE_CACHE` escape hatch (read once, here).
+    /// `build_threads` workers ([`engine::prepare_with`]).
     pub fn new(build_threads: usize) -> Self {
-        let disabled = std::env::var_os("SB_NO_PREPARE_CACHE").is_some_and(|v| v != "0");
-        Self::with_disabled(build_threads, disabled)
-    }
-
-    /// [`PreparedCache::new`] with memoization explicitly on or off,
-    /// ignoring the environment — for tests that must not race on a
-    /// process-global variable.
-    pub fn with_disabled(build_threads: usize, disabled: bool) -> Self {
         PreparedCache {
             cells: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             build_threads: build_threads.max(1),
-            disabled,
         }
     }
 
@@ -74,10 +59,6 @@ impl PreparedCache {
     /// same key block on the single builder; requests for different keys
     /// build concurrently.
     pub fn get(&self, scenario: &ScenarioConfig, seed: u64) -> Arc<PreparedNetwork> {
-        if self.disabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(engine::prepare_with(scenario, seed, self.build_threads));
-        }
         let key = (engine::prepare_digest(scenario), seed);
         let cell = {
             let mut map = self.cells.lock().expect("prepared-cache map poisoned");
@@ -103,7 +84,7 @@ impl PreparedCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// How many `get`s had to build (every `get`, when disabled).
+    /// How many `get`s had to build.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -117,11 +98,6 @@ impl PreparedCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Whether memoization is off (`SB_NO_PREPARE_CACHE`).
-    pub fn is_disabled(&self) -> bool {
-        self.disabled
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +109,7 @@ mod tests {
 
     #[test]
     fn same_key_shares_one_build() {
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let a = cache.get(&tiny(), 7);
         let b = cache.get(&tiny(), 7);
         assert!(Arc::ptr_eq(&a, &b), "same (scenario, seed) must share the Arc");
@@ -143,7 +119,7 @@ mod tests {
 
     #[test]
     fn different_seeds_build_separately() {
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let a = cache.get(&tiny(), 7);
         let b = cache.get(&tiny(), 8);
         assert!(!Arc::ptr_eq(&a, &b), "different seeds must not share");
@@ -155,7 +131,7 @@ mod tests {
     fn workload_only_fields_share_the_prepared_network() {
         // The digest covers exactly what `prepare` reads: changing the
         // arrival rate must hit, changing the pair count must miss.
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let base = tiny();
         let mut loaded = tiny();
         loaded.arrivals_per_slot *= 3.0;
@@ -169,19 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_always_builds() {
-        let cache = PreparedCache::with_disabled(1, true);
-        let a = cache.get(&tiny(), 7);
-        let b = cache.get(&tiny(), 7);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(cache.is_empty());
-        assert!(cache.is_disabled());
-    }
-
-    #[test]
     fn concurrent_requests_block_on_one_builder() {
-        let cache = PreparedCache::with_disabled(1, false);
+        let cache = PreparedCache::new(1);
         let results: Vec<Arc<PreparedNetwork>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4).map(|_| scope.spawn(|| cache.get(&tiny(), 7))).collect();
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
@@ -195,7 +160,7 @@ mod tests {
 
     #[test]
     fn cached_network_is_bit_identical_to_fresh() {
-        let cache = PreparedCache::with_disabled(4, false);
+        let cache = PreparedCache::new(4);
         let cached = cache.get(&tiny(), 7);
         let fresh = engine::prepare(&tiny(), 7);
         assert_eq!(cached.pairs, fresh.pairs);

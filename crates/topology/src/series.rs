@@ -11,9 +11,8 @@
 //!   the static +Grid ISL template is built once and shared across slots
 //!   behind an `Arc`, and each slot stores only its dynamic data;
 //! * the **full-rebuild** reference path ([`TopologySeries::build_full`]),
-//!   which assembles a dense edge list per slot. Setting the environment
-//!   variable `SB_FULL_REBUILD=1` forces every build through this path
-//!   (used by CI to byte-diff sweep outputs against the delta compiler).
+//!   which assembles a dense edge list per slot — the oracle the delta
+//!   compiler's tests compare against.
 
 use crate::graph::{NodeId, NodeKind, TopologySnapshot};
 use crate::ground;
@@ -230,11 +229,6 @@ impl NetworkNodes {
     }
 }
 
-/// `true` when `SB_FULL_REBUILD=1` forces the dense full-rebuild path.
-pub(crate) fn full_rebuild_forced() -> bool {
-    std::env::var_os("SB_FULL_REBUILD").is_some_and(|v| v == "1")
-}
-
 /// The full time-slotted topology: one snapshot per slot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TopologySeries {
@@ -247,17 +241,13 @@ impl TopologySeries {
     /// seconds long. Orbits are sampled at each slot's start epoch.
     ///
     /// Uses the delta compiler with shared static structure (see
-    /// [`crate::delta::SeriesBuilder`]); set `SB_FULL_REBUILD=1` to force
-    /// the bit-identical dense reference path.
+    /// [`crate::delta::SeriesBuilder`]).
     pub fn build(
         nodes: &NetworkNodes,
         config: &TopologyConfig,
         num_slots: usize,
         slot_duration_s: f64,
     ) -> TopologySeries {
-        if full_rebuild_forced() {
-            return Self::build_full(nodes, config, num_slots, slot_duration_s);
-        }
         crate::delta::SeriesBuilder::new(nodes, config)
             .compile(num_slots, slot_duration_s)
             .into_series()
@@ -271,7 +261,7 @@ impl TopologySeries {
     /// the chunk start, deltas within). Every snapshot is a pure function
     /// of `(nodes, config, slot epoch)`, so the result is **bit-identical**
     /// to the serial build for every thread count — the same determinism
-    /// discipline as the sweep runner and the speculative quote.
+    /// discipline as the sweep runner.
     ///
     /// `threads <= 1` takes the serial path with no thread machinery.
     pub fn build_par(
@@ -281,9 +271,6 @@ impl TopologySeries {
         slot_duration_s: f64,
         threads: usize,
     ) -> TopologySeries {
-        if full_rebuild_forced() {
-            return Self::build_full_par(nodes, config, num_slots, slot_duration_s, threads);
-        }
         let threads = threads.clamp(1, num_slots.max(1));
         if threads == 1 {
             return Self::build(nodes, config, num_slots, slot_duration_s);
@@ -314,46 +301,6 @@ impl TopologySeries {
                 )
             })
             .collect();
-        TopologySeries { slot_duration_s, snapshots }
-    }
-
-    /// [`TopologySeries::build_full`] fanned across `threads` workers.
-    /// Workers pull slots from a shared atomic counter and deposit each
-    /// snapshot into its slot's write-once cell, so collection order never
-    /// depends on completion order.
-    pub fn build_full_par(
-        nodes: &NetworkNodes,
-        config: &TopologyConfig,
-        num_slots: usize,
-        slot_duration_s: f64,
-        threads: usize,
-    ) -> TopologySeries {
-        let threads = threads.clamp(1, num_slots.max(1));
-        if threads == 1 {
-            return Self::build_full(nodes, config, num_slots, slot_duration_s);
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let cells: Vec<std::sync::OnceLock<TopologySnapshot>> =
-            (0..num_slots).map(|_| std::sync::OnceLock::new()).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let t = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if t >= num_slots {
-                        break;
-                    }
-                    let snapshot = build_snapshot(
-                        nodes,
-                        config,
-                        SlotIndex(t as u32),
-                        Epoch::from_seconds(t as f64 * slot_duration_s),
-                    );
-                    assert!(cells[t].set(snapshot).is_ok(), "slot cell set twice");
-                });
-            }
-        });
-        let snapshots =
-            cells.into_iter().map(|c| c.into_inner().expect("worker built every slot")).collect();
         TopologySeries { slot_duration_s, snapshots }
     }
 
@@ -708,8 +655,6 @@ mod tests {
             let par = TopologySeries::build_par(&nodes, &cfg, 6, 120.0, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(par, full, "threads={threads} vs full rebuild");
-            let par_full = TopologySeries::build_full_par(&nodes, &cfg, 6, 120.0, threads);
-            assert_eq!(par_full, full, "full par threads={threads}");
         }
     }
 

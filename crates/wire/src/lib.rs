@@ -146,6 +146,69 @@ pub mod frame {
     }
 }
 
+/// Sealed files: the one on-disk shape of every durability artifact that
+/// is a *single* self-checking payload — engine checkpoints, a durable
+/// run's final metrics, fleet cell results and series spills.
+///
+/// A sealed file is `magic: 8 bytes | checksum: u64 | body`, the checksum
+/// being [`checksum`] of the body, little-endian. It is published
+/// atomically (temp file, `write_all`, fsync, rename, directory fsync), so
+/// a crash leaves at worst a stale `.tmp` beside the complete old file,
+/// never a torn file under the final name; and whatever is under the final
+/// name is trusted only after magic and checksum verify.
+pub mod sealed {
+    use super::checksum;
+    use std::fs::{self, File};
+    use std::io::{self, Write as _};
+    use std::path::Path;
+
+    /// Bytes in front of the body (`magic` + `checksum: u64`).
+    pub(crate) const HEADER_BYTES: usize = 16;
+
+    /// Durably replaces `path` with the sealed form of `body`. The temp
+    /// file is `path` with `.tmp` appended to its name.
+    ///
+    /// # Errors
+    ///
+    /// The underlying [`io::Error`] of the create, write, fsync or rename.
+    pub fn write_atomic(path: &Path, magic: &[u8; 8], body: &[u8]) -> io::Result<()> {
+        let mut bytes = Vec::with_capacity(HEADER_BYTES + body.len());
+        bytes.extend_from_slice(magic);
+        bytes.extend_from_slice(&checksum(body).to_le_bytes());
+        bytes.extend_from_slice(body);
+
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(&bytes)?;
+            f.sync_all()?;
+        }
+        fs::rename(&tmp, path)?;
+        // Make the rename itself durable; best-effort where the platform
+        // cannot fsync a directory.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Ok(d) = File::open(dir.unwrap_or(Path::new("."))) {
+            let _ = d.sync_all();
+        }
+        Ok(())
+    }
+
+    /// The body of the sealed file at `path`, or `None` when the file is
+    /// missing, unreadable, carries another magic, is truncated anywhere,
+    /// or fails its checksum. Never panics.
+    pub fn read(path: &Path, magic: &[u8; 8]) -> Option<Vec<u8>> {
+        let mut bytes = fs::read(path).ok()?;
+        let body = bytes.strip_prefix(magic.as_slice())?;
+        let (sum, body) = body.split_first_chunk::<8>()?;
+        if u64::from_le_bytes(*sum) != checksum(body) {
+            return None;
+        }
+        bytes.drain(..HEADER_BYTES);
+        Some(bytes)
+    }
+}
+
 /// Append-only encoder over a growable byte buffer.
 #[derive(Debug, Default, Clone)]
 pub struct Writer {
@@ -468,6 +531,62 @@ mod tests {
             copy[byte] ^= 0x10;
             assert_eq!(read_frame(&copy, 1 << 20), FrameStatus::Corrupt, "flip at {byte}");
         }
+    }
+
+    #[test]
+    fn sealed_file_roundtrips_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join("sb_wire_sealed_roundtrip");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        sealed::write_atomic(&path, b"SBTEST01", b"first body").unwrap();
+        assert_eq!(sealed::read(&path, b"SBTEST01"), Some(b"first body".to_vec()));
+        // A second write replaces the file whole; an empty body is a body.
+        sealed::write_atomic(&path, b"SBTEST01", b"").unwrap();
+        assert_eq!(sealed::read(&path, b"SBTEST01"), Some(Vec::new()));
+        // Another format's reader, or no file at all, reads as absent.
+        assert_eq!(sealed::read(&path, b"SBTEST02"), None);
+        assert_eq!(sealed::read(&dir.join("absent.bin"), b"SBTEST01"), None);
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, ["state.bin"], "the temp file must be renamed away");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealed_file_rejects_every_truncation_and_seeded_bit_flips() {
+        let dir = std::env::temp_dir().join("sb_wire_sealed_corrupt");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.bin");
+        let body: Vec<u8> = (0..97u32).map(|i| (i * 31 % 251) as u8).collect();
+        sealed::write_atomic(&path, b"SBTEST01", &body).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), sealed::HEADER_BYTES + body.len());
+        for cut in 0..bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert_eq!(sealed::read(&path, b"SBTEST01"), None, "cut at {cut}");
+        }
+        // One to three flipped bits anywhere — magic, checksum or body.
+        let mut rng = 0x5EA1_ED00_u64;
+        let mut next = || {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) as usize
+        };
+        for case in 0..400 {
+            let mut copy = bytes.clone();
+            for _ in 0..1 + next() % 3 {
+                copy[next() % bytes.len()] ^= 1 << (next() % 8);
+            }
+            if copy == bytes {
+                continue; // two flips of one bit cancel
+            }
+            std::fs::write(&path, &copy).unwrap();
+            assert_eq!(sealed::read(&path, b"SBTEST01"), None, "case {case}");
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(sealed::read(&path, b"SBTEST01"), Some(body));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
