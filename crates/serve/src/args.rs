@@ -23,8 +23,6 @@ pub struct ServeArgs {
     pub workers: usize,
     /// `--queue-depth`: maximum undecided requests (≥ 1).
     pub queue_depth: usize,
-    /// `--retry-limit`: quote attempts per request (≥ 1).
-    pub retry_limit: u32,
     /// `--checkpoint-every`: decisions between checkpoints (0 disables).
     pub checkpoint_every: u64,
     /// `--deadline-us`: per-request service deadline (absent: none).
@@ -45,7 +43,6 @@ impl Default for ServeArgs {
             requests: None,
             workers: 2,
             queue_depth: 64,
-            retry_limit: 3,
             checkpoint_every: 0,
             deadline_us: None,
             throttle_us: 0,
@@ -60,7 +57,7 @@ impl Default for ServeArgs {
 ///
 /// A human-readable message naming the offending flag: unknown flags,
 /// missing or unparseable values, `--scale` outside `tiny|fast`, and
-/// zero values for `--workers`, `--queue-depth`, or `--retry-limit`.
+/// zero values for `--workers` or `--queue-depth`.
 pub fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
     let mut out = ServeArgs::default();
     let mut args = args.peekable();
@@ -84,10 +81,6 @@ pub fn parse_serve_args(args: impl Iterator<Item = String>) -> Result<ServeArgs,
             }
             "--queue-depth" => {
                 out.queue_depth = parse_at_least_one(&value("--queue-depth")?, "--queue-depth")?;
-            }
-            "--retry-limit" => {
-                out.retry_limit =
-                    parse_at_least_one::<u32>(&value("--retry-limit")?, "--retry-limit")?;
             }
             "--checkpoint-every" => {
                 out.checkpoint_every =
@@ -145,8 +138,6 @@ mod tests {
             "4",
             "--queue-depth",
             "8",
-            "--retry-limit",
-            "2",
             "--checkpoint-every",
             "10",
             "--deadline-us",
@@ -162,7 +153,6 @@ mod tests {
         assert_eq!(got.requests, Some(50));
         assert_eq!(got.workers, 4);
         assert_eq!(got.queue_depth, 8);
-        assert_eq!(got.retry_limit, 2);
         assert_eq!(got.checkpoint_every, 10);
         assert_eq!(got.deadline_us, Some(500));
         assert_eq!(got.throttle_us, 250);
@@ -179,12 +169,6 @@ mod tests {
     fn zero_queue_depth_is_rejected_not_floored() {
         let err = parse(&["--queue-depth", "0"]).unwrap_err();
         assert!(err.contains("--queue-depth must be >= 1"), "{err}");
-    }
-
-    #[test]
-    fn zero_retry_limit_is_rejected_not_floored() {
-        let err = parse(&["--retry-limit", "0"]).unwrap_err();
-        assert!(err.contains("--retry-limit must be >= 1"), "{err}");
     }
 
     #[test]

@@ -97,7 +97,6 @@ fn main() {
     let mut cfg = ServeConfig::new(digest, args.seed);
     cfg.workers = args.workers;
     cfg.queue_depth = args.queue_depth;
-    cfg.retry_limit = args.retry_limit;
     cfg.checkpoint_every = args.checkpoint_every;
     cfg.deadline = args.deadline_us.map(Duration::from_micros);
     cfg.degraded_enter = (args.queue_depth * 3 / 4).max(2);
@@ -137,14 +136,14 @@ fn main() {
     }
     let report = service.drain();
 
-    // The run digest: every durable WAL record (in digest-canonical form,
-    // see `wal::canonical_record`) plus the final state. A kill/resume
-    // sequence must reproduce an uninterrupted run's value.
+    // The run digest: every durable WAL record as written, plus the final
+    // state. A kill/resume sequence must reproduce an uninterrupted run's
+    // value.
     let scan = journal::scan(&wal_path)
         .unwrap_or_else(|e| fail(format!("cannot re-scan {}: {e}", wal_path.display())));
     let mut w = Writer::new();
     for record in &scan.records {
-        wal::canonical_record(record).encode(&mut w);
+        record.encode(&mut w);
     }
     report.state.encode_snapshot(&mut w);
     let run_digest = format!("{:016x}", checksum(&w.into_bytes()));
@@ -160,7 +159,7 @@ fn main() {
         s.decisions(),
         s.admitted,
         s.rejected_no_path + s.rejected_price + s.rejected_commit,
-        s.shed_queue_full + s.shed_deadline + s.shed_retries,
+        s.shed_queue_full + s.shed_deadline,
         s.conflicts,
         s.requotes,
         s.degraded_entries,

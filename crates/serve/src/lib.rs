@@ -12,16 +12,23 @@
 //!
 //! # Architecture
 //!
-//! * **Optimistic parallel quoting** — quote workers price requests
+//! Every request is decided on one of two paths, both ending in the same
+//! admission rule and the same WAL append:
+//!
+//! * **Optimistic quote, validated** — quote workers price requests
 //!   concurrently against a shared [`sb_cear::NetworkState`] under a read
 //!   lock, recording the bandwidth/battery *epochs* of every cell the
-//!   search touched in an [`sb_cear::EpochReadSet`].
-//! * **Single ordering committer** — one thread commits strictly in
-//!   submission order. Before committing a quote it revalidates the read
-//!   set against the current epochs; a stale quote is bounced back for a
-//!   requote with decorrelated-jitter backoff, and after `retry_limit`
-//!   attempts the request is shed honestly
-//!   ([`sb_sim::journal::ShedReason::RetriesExhausted`]).
+//!   search touched in an [`sb_cear::EpochReadSet`]. One committer thread
+//!   decides strictly in submission order; a staged quote whose read set
+//!   is still current at its turn is committed as it stands.
+//! * **Committer-serial quote** — otherwise (the staged quote is stale,
+//!   or nothing was staged because the service is in degraded mode or the
+//!   workers have exited) the committer quotes the request itself, under
+//!   the state lock it commits under. Nothing goes back through the
+//!   queue.
+//!
+//! Around them:
+//!
 //! * **Write-ahead logging** — every decision is appended to an
 //!   [`sb_sim::journal::Journal`] (the engine's journal format, including
 //!   fsync) *before* the client is acked, so an ack implies durability.
@@ -76,13 +83,6 @@ pub struct ServeConfig {
     /// Maximum undecided requests (submitted but not yet written to the
     /// WAL) before the lowest value-density candidate is shed (≥ 1).
     pub queue_depth: usize,
-    /// Quote attempts per request (≥ 1); conflict number `retry_limit`
-    /// sheds the request with `RetriesExhausted`.
-    pub retry_limit: u32,
-    /// Base backoff before a bounced requote, microseconds.
-    pub backoff_base_us: u64,
-    /// Backoff ceiling, microseconds (≥ `backoff_base_us`).
-    pub backoff_cap_us: u64,
     /// Per-request service deadline; `None` disables deadline shedding.
     pub deadline: Option<Duration>,
     /// Occupancy at which degraded mode engages (> `degraded_exit`).
@@ -92,7 +92,8 @@ pub struct ServeConfig {
     /// Write a checkpoint every this many decisions (0 disables; only
     /// effective when the service is given a checkpoint directory).
     pub checkpoint_every: u64,
-    /// Seed for the backoff jitter stream.
+    /// Workload seed recorded in the WAL's `RunStart`; the service draws
+    /// nothing from it.
     pub seed: u64,
     /// Config digest recorded in the WAL's `RunStart`; recovery refuses a
     /// WAL carrying a different digest.
@@ -102,16 +103,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A ready-to-run configuration: 2 workers, queue depth 64, 3 quote
-    /// attempts, 50 µs–5 ms backoff, no deadline, degraded mode between
-    /// 3/4 and 1/4 occupancy, checkpointing off.
+    /// A ready-to-run configuration: 2 workers, queue depth 64, no
+    /// deadline, degraded mode between 3/4 and 1/4 occupancy,
+    /// checkpointing off.
     pub fn new(digest: u64, seed: u64) -> Self {
         ServeConfig {
             workers: 2,
             queue_depth: 64,
-            retry_limit: 3,
-            backoff_base_us: 50,
-            backoff_cap_us: 5_000,
             deadline: None,
             degraded_enter: 48,
             degraded_exit: 16,
@@ -134,15 +132,6 @@ impl ServeConfig {
         }
         if self.queue_depth == 0 {
             return fail("queue_depth must be >= 1".to_owned());
-        }
-        if self.retry_limit == 0 {
-            return fail("retry_limit must be >= 1".to_owned());
-        }
-        if self.backoff_cap_us < self.backoff_base_us {
-            return fail(format!(
-                "backoff_cap_us ({}) must be >= backoff_base_us ({})",
-                self.backoff_cap_us, self.backoff_base_us
-            ));
         }
         if self.degraded_enter <= self.degraded_exit {
             return fail(format!(
@@ -223,7 +212,6 @@ mod tests {
         for (field, mutate) in [
             ("workers", Box::new(|c: &mut ServeConfig| c.workers = 0) as Box<dyn Fn(&mut _)>),
             ("queue_depth", Box::new(|c: &mut ServeConfig| c.queue_depth = 0)),
-            ("retry_limit", Box::new(|c: &mut ServeConfig| c.retry_limit = 0)),
         ] {
             let mut cfg = ServeConfig::new(0, 0);
             mutate(&mut cfg);
@@ -234,10 +222,6 @@ mod tests {
 
     #[test]
     fn inverted_ranges_are_rejected() {
-        let mut cfg = ServeConfig::new(0, 0);
-        cfg.backoff_cap_us = cfg.backoff_base_us - 1;
-        assert!(matches!(cfg.validate(), Err(ServeError::Config(_))));
-
         let mut cfg = ServeConfig::new(0, 0);
         cfg.degraded_enter = cfg.degraded_exit;
         assert!(matches!(cfg.validate(), Err(ServeError::Config(_))));

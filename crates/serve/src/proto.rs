@@ -77,7 +77,6 @@ fn shed_tag(reason: ShedReason) -> u8 {
     match reason {
         ShedReason::QueueFull => 0,
         ShedReason::DeadlineExceeded => 1,
-        ShedReason::RetriesExhausted => 2,
     }
 }
 
@@ -85,7 +84,6 @@ fn shed_from_tag(tag: u8) -> Result<ShedReason, WireError> {
     Ok(match tag {
         0 => ShedReason::QueueFull,
         1 => ShedReason::DeadlineExceeded,
-        2 => ShedReason::RetriesExhausted,
         tag => return Err(WireError::BadTag { tag, context: "AckFrame ShedReason" }),
     })
 }
@@ -219,7 +217,6 @@ mod tests {
             AckVerdict::Rejected { reason: RejectReason::CommitFailed },
             AckVerdict::Shed { reason: ShedReason::QueueFull },
             AckVerdict::Shed { reason: ShedReason::DeadlineExceeded },
-            AckVerdict::Shed { reason: ShedReason::RetriesExhausted },
         ];
         let mut bytes = Vec::new();
         for (i, verdict) in verdicts.iter().enumerate() {
@@ -264,5 +261,12 @@ mod tests {
         let mut long = payload.to_vec();
         long.push(0);
         assert!(SubmitFrame::decode(&long).is_err());
+        // Shed reason byte 2 is retired: seq, request id, verdict 2, reason 2.
+        let mut retired = vec![0; 12];
+        retired.extend([2, 2]);
+        assert!(matches!(
+            AckFrame::decode(&retired),
+            Err(WireError::BadTag { tag: 2, context: "AckFrame ShedReason" })
+        ));
     }
 }

@@ -4,27 +4,27 @@
 //!
 //! # Threading model
 //!
-//! * `workers` quote threads pop submitted requests, price them with a
-//!   cached [`Cear`] under a **read** lock on the shared
+//! * `workers` quote threads pop submitted requests in submission order,
+//!   price them with a cached [`Cear`] under a **read** lock on the shared
 //!   [`NetworkState`], and stage the result together with the
 //!   [`EpochReadSet`] the search touched.
-//! * One committer thread consumes staged results **strictly in
-//!   submission order**. It revalidates each read set under the **write**
-//!   lock (the committer is the only state mutator, so a quote validated
-//!   current commits atomically), appends the decision to the WAL,
-//!   fsyncs, and only then resolves the client's ticket.
-//! * A quote invalidated by an earlier commit is bounced back to the
-//!   workers with decorrelated-jitter backoff; because the committer
-//!   freezes the state while it waits for the requote, a bounced request
-//!   can conflict at most once — exhaustion
-//!   ([`ShedReason::RetriesExhausted`]) is reachable only at
-//!   `retry_limit == 1`.
+//! * One committer thread decides **strictly in submission order**, on
+//!   one of two paths. A staged quote whose read set is still current is
+//!   committed as it stands (the committer is the only state mutator, so
+//!   a quote validated current commits atomically). Otherwise — the quote
+//!   was invalidated by an earlier commit, or nothing was staged because
+//!   the service is in degraded mode or the workers have exited — the
+//!   committer quotes the request itself under the **write** lock and
+//!   commits without releasing it. Either way it appends the decision to
+//!   the WAL, fsyncs, and only then resolves the client's ticket.
 //!
 //! The committed decision stream is therefore exactly what a serial CEAR
-//! loop would produce over the same requests in submission order; only
-//! *sheds* (queue overflow, lapsed deadlines, retry exhaustion) are
-//! load-dependent, and each one is WAL-logged so recovery replays rather
-//! than re-derives it.
+//! loop would produce over the same requests in submission order, and
+//! when nothing is shed the WAL bytes are a function of that order alone.
+//! Only *sheds* (queue overflow, lapsed deadlines) are load-dependent,
+//! and each one is WAL-logged so recovery replays rather than re-derives
+//! it. A service without a deadline never asks what time it is; its two
+//! timed waits only bound how long a thread sleeps.
 
 use crate::{ServeConfig, ServeError};
 use sb_cear::{Cear, EpochReadSet, NetworkState, RejectReason, ReservationPlan};
@@ -135,16 +135,17 @@ pub struct ServeStats {
     pub shed_queue_full: u64,
     /// Sheds: service deadline lapsed before the commit turn.
     pub shed_deadline: u64,
-    /// Sheds: quote invalidated more times than the retry limit.
+    /// Always 0: no request is shed for a stale quote.
     pub shed_retries: u64,
     /// Quotes found stale at commit time.
     pub conflicts: u64,
-    /// Bounced requests sent back for a fresh quote.
+    /// Stale quotes the committer redid in place (always equal to
+    /// `conflicts`).
     pub requotes: u64,
     /// Transitions into degraded (committer-serial) mode.
     pub degraded_entries: u64,
-    /// Quotes computed by the committer itself (degraded mode or drain
-    /// tail after the workers exited).
+    /// Requests the committer quoted with nothing staged (degraded mode
+    /// or drain tail after the workers exited).
     pub degraded_quotes: u64,
     /// Checkpoints written.
     pub checkpoints: u64,
@@ -161,7 +162,6 @@ impl ServeStats {
             + self.rejected_commit
             + self.shed_queue_full
             + self.shed_deadline
-            + self.shed_retries
     }
 }
 
@@ -182,13 +182,7 @@ pub struct DrainReport {
 struct Job {
     seq: u64,
     request: Request,
-    /// Quote attempts remaining (starts at `retry_limit`).
-    attempts_left: u32,
     deadline: Option<Instant>,
-    /// Earliest time a worker may requote this job (backoff).
-    ready_at: Option<Instant>,
-    /// Previous backoff span, µs (decorrelated jitter state).
-    backoff_us: u64,
     ack: Arc<AckSlot>,
 }
 
@@ -211,6 +205,8 @@ impl Staged {
 
 /// Queue state behind the mutex.
 struct Q {
+    /// Submitted, not yet taken by a worker or the committer; ascending
+    /// `seq`.
     pending: VecDeque<Job>,
     staged: BTreeMap<u64, Staged>,
     /// Next sequence number to hand out.
@@ -252,15 +248,6 @@ fn value_density(request: &Request) -> f64 {
     } else {
         f64::INFINITY
     }
-}
-
-/// SplitMix64 step — the backoff jitter stream.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A fault-tolerant online admission service over one [`NetworkState`].
@@ -340,14 +327,11 @@ impl AdmissionService {
             .collect();
         let committer = {
             let shared = Arc::clone(&shared);
-            let mut jitter = cfg.seed ^ 0x5365_7276_654A_6974; // "ServeJit"
-            let _ = splitmix64(&mut jitter);
             let core = Committer {
                 shared,
                 journal,
                 checkpoint_dir,
                 reference: Cear::reference(cfg.params),
-                jitter,
                 decided: already_decided,
                 since_checkpoint: 0,
             };
@@ -365,8 +349,8 @@ impl AdmissionService {
     /// [`ServeError::Dead`] after the service has halted,
     /// [`ServeError::Draining`] after [`AdmissionService::drain`] began.
     pub fn submit(&self, request: Request) -> Result<Ticket, ServeError> {
-        let now = Instant::now();
         let cfg = &self.shared.cfg;
+        let deadline = cfg.deadline.map(|d| Instant::now() + d);
         let mut q = self.shared.q.lock().unwrap();
         if let Some(msg) = &q.dead {
             return Err(ServeError::Dead(msg.clone()));
@@ -380,15 +364,7 @@ impl AdmissionService {
         let occupancy = q.occupancy();
         q.stats.max_occupancy = q.stats.max_occupancy.max(occupancy as u64);
         let slot = Arc::new(AckSlot::default());
-        let job = Job {
-            seq,
-            request,
-            attempts_left: cfg.retry_limit,
-            deadline: cfg.deadline.map(|d| now + d),
-            ready_at: None,
-            backoff_us: 0,
-            ack: Arc::clone(&slot),
-        };
+        let job = Job { seq, request, deadline, ack: Arc::clone(&slot) };
         if occupancy > cfg.queue_depth {
             // Overflow: shed the lowest value-density candidate. Only
             // still-pending jobs compete with the incoming one — staged
@@ -491,16 +467,16 @@ fn worker_loop(shared: &Arc<Shared>, cear: Cear) {
                     return;
                 }
                 if !q.degraded {
-                    let now = Instant::now();
-                    if let Some(pos) =
-                        q.pending.iter().position(|j| j.ready_at.is_none_or(|t| t <= now))
-                    {
-                        break q.pending.remove(pos).expect("position in range");
+                    if let Some(job) = q.pending.pop_front() {
+                        break job;
                     }
                 }
                 if q.draining && q.pending.is_empty() {
                     return;
                 }
+                // Everything awaited here notifies `work_cv`; the timeout
+                // is kept because it measures faster end to end than a
+                // plain wait on the closed loop (EXPERIMENTS.md, PR 23).
                 let (qq, _) = shared.work_cv.wait_timeout(q, Duration::from_micros(200)).unwrap();
                 q = qq;
             }
@@ -521,20 +497,12 @@ fn worker_loop(shared: &Arc<Shared>, cear: Cear) {
     }
 }
 
-/// What the committer decided for one job (bounced requotes produce no
-/// decision).
-enum Verdict {
-    Admitted { plan: ReservationPlan, price: f64 },
-    Rejected { reason: RejectReason },
-    Shed { reason: ShedReason },
-}
-
+/// What the committer's turn starts from.
 enum Work {
     Staged(Staged),
-    /// Committer-serial job (degraded mode, or the workers already
-    /// exited during drain).
+    /// Nothing staged (degraded mode, or the workers already exited
+    /// during drain): the committer quotes for itself.
     SelfServe(Job),
-    Exit,
 }
 
 struct Committer {
@@ -543,192 +511,136 @@ struct Committer {
     checkpoint_dir: Option<PathBuf>,
     /// Uncached CEAR for committer-serial quotes — bit-identical to the
     /// workers' cached quotes (see `sb_cear`'s
-    /// `cached_quotes_match_reference_bitwise`), so mode transitions never
-    /// change a decision.
+    /// `cached_quotes_match_reference_bitwise`), so which path decides a
+    /// request never changes the decision.
     reference: Cear,
-    jitter: u64,
     decided: u64,
     since_checkpoint: u64,
 }
 
 impl Committer {
     fn run(mut self) {
-        loop {
-            match self.next_work() {
-                Work::Exit => return,
-                Work::Staged(staged) => {
-                    if !self.handle(staged) {
-                        return;
-                    }
-                }
-                Work::SelfServe(job) => {
-                    let verdict = self.decide_serial(&job);
-                    if !self.finalize(job, verdict) {
-                        return;
-                    }
-                }
+        while let Some(work) = self.next_work() {
+            if !self.handle(work) {
+                return;
             }
         }
     }
 
-    /// Blocks until the next-in-order job is actionable.
-    fn next_work(&mut self) -> Work {
+    /// Blocks until the next-in-order job is actionable; `None` once the
+    /// service has drained or died.
+    fn next_work(&mut self) -> Option<Work> {
         let cfg = &self.shared.cfg;
         let mut q = self.shared.q.lock().unwrap();
         loop {
             if q.dead.is_some() {
-                return Work::Exit;
+                return None;
             }
-            let now = Instant::now();
             if cfg.deadline.is_some() {
-                mark_expired(&mut q, now);
+                mark_expired(&mut q, Instant::now());
             }
             update_degraded(cfg, &mut q, &self.shared.work_cv);
             let turn = q.next_commit;
             if let Some(staged) = q.staged.remove(&turn) {
-                return Work::Staged(staged);
+                return Some(Work::Staged(staged));
             }
             if q.draining && q.next_commit == q.next_seq {
-                return Work::Exit;
+                return None;
             }
-            if q.degraded || q.live_workers == 0 {
-                if let Some(pos) = q.pending.iter().position(|j| j.seq == q.next_commit) {
-                    if q.pending[pos].ready_at.is_none_or(|t| t <= now) {
-                        let job = q.pending.remove(pos).expect("position in range");
-                        q.stats.degraded_quotes += 1;
-                        return Work::SelfServe(job);
-                    }
-                }
+            // `pending` ascends in `seq` and everything below `turn` is
+            // decided, so an unclaimed `turn` can only be at the front.
+            if (q.degraded || q.live_workers == 0)
+                && q.pending.front().is_some_and(|j| j.seq == turn)
+            {
+                q.stats.degraded_quotes += 1;
+                return q.pending.pop_front().map(Work::SelfServe);
             }
+            // Timed: deadline expiry is the one thing nobody notifies.
             let (qq, _) =
                 self.shared.commit_cv.wait_timeout(q, Duration::from_micros(200)).unwrap();
             q = qq;
         }
     }
 
-    /// Processes one staged entry. Returns `false` once the service has
-    /// died.
-    fn handle(&mut self, staged: Staged) -> bool {
-        let (job, verdict) = match staged {
-            Staged::Shed { job, reason } => (job, Verdict::Shed { reason }),
-            Staged::Quoted { job, result, reads } => {
-                if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                    (job, Verdict::Shed { reason: ShedReason::DeadlineExceeded })
-                } else {
-                    let stale = {
-                        let state = self.shared.state.read().unwrap();
-                        !reads.is_current(&state)
-                    };
-                    if stale {
-                        return self.bounce(job);
-                    }
-                    let verdict = self.commit_current(&job, result);
-                    (job, verdict)
-                }
+    /// Decides one turn. Returns `false` once the service has died.
+    fn handle(&mut self, work: Work) -> bool {
+        let (job, quoted) = match work {
+            Work::Staged(Staged::Shed { job, reason }) => {
+                return self.finalize(job, AckBody::Shed { reason });
             }
+            Work::Staged(Staged::Quoted { job, result, reads }) => (job, Some((result, reads))),
+            Work::SelfServe(job) => (job, None),
         };
-        self.finalize(job, verdict)
+        let body = self.decide(&job, quoted);
+        self.finalize(job, body)
     }
 
-    /// Applies a still-current quote: admission control, then the atomic
-    /// commit. Runs under the write lock; the read-set check already
-    /// passed and the committer is the sole mutator, so the quote cannot
-    /// go stale between check and commit.
-    fn commit_current(&mut self, job: &Job, result: QuoteResult) -> Verdict {
-        match result {
-            Err(reason) => Verdict::Rejected { reason },
-            Ok((plan, price)) => {
-                if price > job.request.valuation {
-                    return Verdict::Rejected { reason: RejectReason::PriceAboveValuation };
-                }
-                let mut state = self.shared.state.write().unwrap();
-                match state.try_commit_plan(&job.request, &plan) {
-                    Ok(()) => Verdict::Admitted { plan, price },
-                    Err(_) => Verdict::Rejected { reason: RejectReason::CommitFailed },
-                }
-            }
-        }
-    }
-
-    /// Committer-serial path: quote and commit atomically under the
-    /// write lock (no conflict window at all).
-    fn decide_serial(&mut self, job: &Job) -> Verdict {
+    /// Turns a request into a decision: a staged quote whose read set is
+    /// still current is used as it stands; a stale or missing one is
+    /// redone here under the write lock, which is then held through the
+    /// commit (no conflict window at all). Then admission control and the
+    /// atomic commit. The committer is the sole mutator, so a quote found
+    /// current cannot go stale before the commit takes the write lock.
+    fn decide(&self, job: &Job, quoted: Option<(QuoteResult, EpochReadSet)>) -> AckBody {
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            return Verdict::Shed { reason: ShedReason::DeadlineExceeded };
+            return AckBody::Shed { reason: ShedReason::DeadlineExceeded };
         }
-        let mut state = self.shared.state.write().unwrap();
-        match self.reference.quote(&job.request, &state) {
-            Err(reason) => Verdict::Rejected { reason },
-            Ok((plan, price)) => {
-                if price > job.request.valuation {
-                    return Verdict::Rejected { reason: RejectReason::PriceAboveValuation };
-                }
-                match state.try_commit_plan(&job.request, &plan) {
-                    Ok(()) => Verdict::Admitted { plan, price },
-                    Err(_) => Verdict::Rejected { reason: RejectReason::CommitFailed },
-                }
+        let state = &self.shared.state;
+        let current = quoted.and_then(|(result, reads)| {
+            if reads.is_current(&state.read().unwrap()) {
+                return Some(result);
             }
-        }
-    }
-
-    /// A quote went stale: requeue with backoff, or shed once the
-    /// attempts are gone. Returns `false` once the service has died
-    /// (only via the exhaustion → WAL path).
-    fn bounce(&mut self, mut job: Job) -> bool {
-        let cfg = self.shared.cfg.clone();
-        {
             let mut q = self.shared.q.lock().unwrap();
             q.stats.conflicts += 1;
-            if job.attempts_left > 1 {
-                job.attempts_left -= 1;
-                q.stats.requotes += 1;
-                // Decorrelated jitter: next ∈ [base, 3 × previous),
-                // clamped to the cap.
-                let prev = job.backoff_us.max(cfg.backoff_base_us);
-                let span = (prev * 3).saturating_sub(cfg.backoff_base_us).max(1);
-                let next = (cfg.backoff_base_us + splitmix64(&mut self.jitter) % span)
-                    .min(cfg.backoff_cap_us);
-                job.backoff_us = next;
-                job.ready_at = Some(Instant::now() + Duration::from_micros(next));
-                q.pending.push_front(job);
-                drop(q);
-                self.shared.work_cv.notify_all();
-                return true;
+            q.stats.requotes += 1;
+            None
+        });
+        let (result, held) = match current {
+            Some(result) => (result, None),
+            None => {
+                let guard = state.write().unwrap();
+                (self.reference.quote(&job.request, &guard), Some(guard))
             }
+        };
+        let (plan, price) = match result {
+            Ok(quote) => quote,
+            Err(reason) => return AckBody::Rejected { reason },
+        };
+        if price > job.request.valuation {
+            return AckBody::Rejected { reason: RejectReason::PriceAboveValuation };
         }
-        self.finalize(job, Verdict::Shed { reason: ShedReason::RetriesExhausted })
+        let mut guard = held.unwrap_or_else(|| state.write().unwrap());
+        match guard.try_commit_plan(&job.request, &plan) {
+            Ok(()) => AckBody::Admitted { price, plan },
+            Err(_) => AckBody::Rejected { reason: RejectReason::CommitFailed },
+        }
     }
 
     /// WAL → advance → ack → checkpoint, in that order. Returns `false`
     /// once the service has died.
-    fn finalize(&mut self, job: Job, verdict: Verdict) -> bool {
+    fn finalize(&mut self, job: Job, body: AckBody) -> bool {
+        // `attempts_left` is the batch engine's retry counter; the
+        // service never retries, so it writes 0.
         let start = job.request.start.0;
-        let (record, body) = match verdict {
-            Verdict::Admitted { plan, price } => (
-                JournalRecord::Admission {
-                    slot: start,
-                    original_arrival: start,
-                    attempts_left: job.attempts_left,
-                    request: job.request.clone(),
-                    price,
-                    slot_paths: plan.slot_paths.clone(),
-                },
-                AckBody::Admitted { price, plan },
-            ),
-            Verdict::Rejected { reason } => (
-                JournalRecord::Rejection {
-                    slot: start,
-                    original_arrival: start,
-                    attempts_left: job.attempts_left,
-                    request_id: job.request.id.0,
-                    reason,
-                },
-                AckBody::Rejected { reason },
-            ),
-            Verdict::Shed { reason } => (
-                JournalRecord::Shed { request_id: job.request.id.0, reason },
-                AckBody::Shed { reason },
-            ),
+        let record = match &body {
+            AckBody::Admitted { price, plan } => JournalRecord::Admission {
+                slot: start,
+                original_arrival: start,
+                attempts_left: 0,
+                request: job.request.clone(),
+                price: *price,
+                slot_paths: plan.slot_paths.clone(),
+            },
+            AckBody::Rejected { reason } => JournalRecord::Rejection {
+                slot: start,
+                original_arrival: start,
+                attempts_left: 0,
+                request_id: job.request.id.0,
+                reason: *reason,
+            },
+            AckBody::Shed { reason } => {
+                JournalRecord::Shed { request_id: job.request.id.0, reason: *reason }
+            }
         };
         if let Err(e) = self.journal.append(&record) {
             self.die(format!("WAL append failed: {e}"), Some(job));
@@ -739,19 +651,17 @@ impl Committer {
         {
             let mut q = self.shared.q.lock().unwrap();
             q.next_commit += 1;
-            match &record {
-                JournalRecord::Admission { .. } => q.stats.admitted += 1,
-                JournalRecord::Rejection { reason, .. } => match reason {
+            match &body {
+                AckBody::Admitted { .. } => q.stats.admitted += 1,
+                AckBody::Rejected { reason } => match reason {
                     RejectReason::NoFeasiblePath => q.stats.rejected_no_path += 1,
                     RejectReason::PriceAboveValuation => q.stats.rejected_price += 1,
                     RejectReason::CommitFailed => q.stats.rejected_commit += 1,
                 },
-                JournalRecord::Shed { reason, .. } => match reason {
+                AckBody::Shed { reason } => match reason {
                     ShedReason::QueueFull => q.stats.shed_queue_full += 1,
                     ShedReason::DeadlineExceeded => q.stats.shed_deadline += 1,
-                    ShedReason::RetriesExhausted => q.stats.shed_retries += 1,
                 },
-                _ => {}
             }
             update_degraded(&self.shared.cfg, &mut q, &self.shared.work_cv);
         }
@@ -894,7 +804,6 @@ mod tests {
         assert_eq!(report.stats.decisions(), requests.len() as u64);
         assert_eq!(report.stats.shed_queue_full, 0);
         assert_eq!(report.stats.shed_deadline, 0);
-        assert_eq!(report.stats.shed_retries, 0);
 
         let scan = journal::scan_bytes(&io.durable_bytes());
         assert_eq!(scan.discarded_tail_bytes, 0);
@@ -1014,14 +923,13 @@ mod tests {
         assert_eq!(snapshot(&report.state), snapshot(&serial_state));
     }
 
-    /// A stale read set bounces: the job re-enters the queue with backoff
-    /// and one fewer attempt, the requote commits the decision the stale
-    /// quote wanted, and a job with no attempts left is shed honestly —
-    /// all WAL'd in order.
+    /// A stale read set is requoted in place: one `handle` call decides
+    /// the request as a serial pass would — for an admission and for a
+    /// price rejection — WALs it once, and sends nothing back through the
+    /// queue.
     #[test]
-    fn stale_quotes_bounce_with_backoff_then_shed_on_exhaustion() {
+    fn stale_quote_is_requoted_in_place() {
         let net = build_net(6);
-        let c = cfg(1);
         let shared = Arc::new(Shared {
             state: RwLock::new(net.state),
             q: Mutex::new(Q {
@@ -1037,7 +945,7 @@ mod tests {
             }),
             work_cv: Condvar::new(),
             commit_cv: Condvar::new(),
-            cfg: c.clone(),
+            cfg: cfg(1),
         });
         let (journal, io) = mem_journal(FaultPlan::none());
         let mut committer = Committer {
@@ -1045,83 +953,39 @@ mod tests {
             journal,
             checkpoint_dir: None,
             reference: Cear::reference(CearParams::default()),
-            jitter: 42,
             decided: 0,
             since_checkpoint: 0,
         };
         let cear = Cear::new(CearParams::default());
-        let quote = |req: &Request| {
-            let state = shared.state.read().unwrap();
-            cear.quote_recording(req, &state)
-        };
-        let job = |seq: u64, attempts: u32, req: &Request| Job {
-            seq,
-            request: req.clone(),
-            attempts_left: attempts,
-            deadline: None,
-            ready_at: None,
-            backoff_us: 0,
-            ack: Arc::new(AckSlot::default()),
-        };
+        let requests = [
+            request(0, net.src, net.dst, 100.0, 1, 2, 1e7), // admits
+            // An idle path prices at 0, so only a negative valuation is below it.
+            request(1, net.src, net.dst, 100.0, 3, 4, -1.0),
+        ];
+        for (i, req) in requests.iter().enumerate() {
+            // Quote, then invalidate a battery row the search read (epoch
+            // bump only — no value changes).
+            let (result, reads) = cear.quote_recording(req, &shared.state.read().unwrap());
+            let sat = reads.battery_sats().next().expect("quote read at least one battery row");
+            shared.state.write().unwrap().debug_bump_battery_epoch(sat, 0);
+            let expect = serial_decide(&cear, &mut shared.state.read().unwrap().clone(), req);
 
-        // Quote, then invalidate a battery row the search read (epoch
-        // bump only — no value changes, so a requote decides the same).
-        let req = request(0, net.src, net.dst, 100.0, 1, 2, 1e7);
-        let (result, reads) = quote(&req);
-        let sat = reads.battery_sats().next().expect("quote read at least one battery row");
-        shared.state.write().unwrap().debug_bump_battery_epoch(sat, 0);
-        let j = job(0, 2, &req);
-        let ack = Arc::clone(&j.ack);
-        assert!(committer.handle(Staged::Quoted { job: j, result, reads }));
-        let bounced = {
-            let mut q = shared.q.lock().unwrap();
-            assert_eq!(q.stats.conflicts, 1);
-            assert_eq!(q.stats.requotes, 1);
-            assert_eq!(q.next_commit, 0, "a bounce decides nothing");
-            q.pending.pop_front().expect("bounced job requeued")
-        };
-        assert_eq!(bounced.attempts_left, 1);
-        assert!(bounced.ready_at.is_some(), "backoff gate missing");
-        assert!(
-            (c.backoff_base_us..=c.backoff_cap_us).contains(&bounced.backoff_us),
-            "backoff {} outside [{}, {}]",
-            bounced.backoff_us,
-            c.backoff_base_us,
-            c.backoff_cap_us
-        );
+            let ack = Arc::new(AckSlot::default());
+            let job =
+                Job { seq: i as u64, request: req.clone(), deadline: None, ack: Arc::clone(&ack) };
+            assert!(committer.handle(Work::Staged(Staged::Quoted { job, result, reads })));
+            let got = ack.value.lock().unwrap().clone().expect("decided").expect("not dead");
+            assert_eq!(got.body, expect, "request #{i}");
 
-        let (result, reads) = quote(&bounced.request);
-        assert!(committer.handle(Staged::Quoted { job: bounced, result, reads }));
-        let first = ack.value.lock().unwrap().clone().expect("decided").expect("not dead");
-        assert!(
-            matches!(first.body, AckBody::Admitted { .. }),
-            "an uncontended 100 Mbps request should admit: {:?}",
-            first.body
-        );
-
-        // Exhaustion: one attempt left + a stale quote → honest shed.
-        let req2 = request(1, net.src, net.dst, 100.0, 3, 4, 1e7);
-        let (result, reads) = quote(&req2);
-        let sat = reads.battery_sats().next().expect("quote read at least one battery row");
-        shared.state.write().unwrap().debug_bump_battery_epoch(sat, 0);
-        let j = job(1, 1, &req2);
-        let ack2 = Arc::clone(&j.ack);
-        assert!(committer.handle(Staged::Quoted { job: j, result, reads }));
-        let second = ack2.value.lock().unwrap().clone().expect("decided").expect("not dead");
-        assert_eq!(second.body, AckBody::Shed { reason: ShedReason::RetriesExhausted });
-        {
+            let decided = i as u64 + 1;
             let q = shared.q.lock().unwrap();
-            assert_eq!(q.stats.conflicts, 2);
-            assert_eq!(q.stats.shed_retries, 1);
-            assert_eq!(q.next_commit, 2);
+            assert_eq!((q.stats.conflicts, q.stats.requotes), (decided, decided));
+            assert_eq!(q.next_commit, decided);
+            assert!(q.pending.is_empty() && q.staged.is_empty());
+            assert_eq!(journal::scan_bytes(&io.durable_bytes()).records.len(), decided as usize);
         }
-        let scan = journal::scan_bytes(&io.durable_bytes());
-        assert_eq!(scan.records.len(), 2);
-        assert!(matches!(scan.records[0], JournalRecord::Admission { .. }));
-        assert!(matches!(
-            scan.records[1],
-            JournalRecord::Shed { reason: ShedReason::RetriesExhausted, .. }
-        ));
+        let stats = shared.q.lock().unwrap().stats.clone();
+        assert_eq!((stats.admitted, stats.rejected_price), (1, 1), "{stats:?}");
     }
 
     /// A WAL sync failure kills the service: the victim's ticket and all

@@ -60,22 +60,6 @@ pub fn decode_checkpoint_payload(
     Ok((decided, state))
 }
 
-/// The digest-canonical form of a service WAL record: `attempts_left` is
-/// zeroed, because it counts quote bounces — a function of thread timing
-/// under load, not of the decision itself — and must not perturb digest
-/// comparisons between a killed-and-resumed run and an uninterrupted one.
-/// Every other field (verdict, price, plan, shed reason, order) is part
-/// of the decision and is kept.
-pub fn canonical_record(record: &JournalRecord) -> JournalRecord {
-    let mut r = record.clone();
-    if let JournalRecord::Admission { attempts_left, .. }
-    | JournalRecord::Rejection { attempts_left, .. } = &mut r
-    {
-        *attempts_left = 0;
-    }
-    r
-}
-
 /// The result of [`replay`]: the service's state and stream position as
 /// of the last durable decision.
 #[derive(Debug)]
@@ -200,7 +184,7 @@ mod tests {
                 crate::service::AckBody::Admitted { price, plan } => JournalRecord::Admission {
                     slot: start,
                     original_arrival: start,
-                    attempts_left: 3,
+                    attempts_left: 0,
                     request: req,
                     price,
                     slot_paths: plan.slot_paths,
@@ -208,7 +192,7 @@ mod tests {
                 crate::service::AckBody::Rejected { reason } => JournalRecord::Rejection {
                     slot: start,
                     original_arrival: start,
-                    attempts_left: 3,
+                    attempts_left: 0,
                     request_id: req.id.0,
                     reason,
                 },
@@ -262,24 +246,6 @@ mod tests {
         let resumed = replay(prefix.state, 6, &records, DIGEST).unwrap();
         assert_eq!(resumed.decided, 10);
         assert_eq!(snapshot(&resumed.state), snapshot(&state));
-    }
-
-    /// Two WALs for the same decisions digest equal however many bounces
-    /// each decision survived — and no other field is touched.
-    #[test]
-    fn canonical_records_forget_only_attempt_counts() {
-        let (_, _, records) = serial_wal(6);
-        for record in &records {
-            let mut bumped = record.clone();
-            if let JournalRecord::Admission { attempts_left, .. }
-            | JournalRecord::Rejection { attempts_left, .. } = &mut bumped
-            {
-                *attempts_left = 1;
-                assert_ne!(&bumped, record);
-            }
-            assert_eq!(canonical_record(&bumped), canonical_record(record));
-        }
-        assert_eq!(canonical_record(&run_start()), run_start());
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! | 4 | [`JournalRecord::FailureDraw`] | `slot: u32`, `edges: seq u32` |
 //! | 5 | [`JournalRecord::Repair`] | `slot: u32`, `booking_index: u32`, `outcome: u8` (+ `price: f64` when repaired) |
 //! | 6 | [`JournalRecord::SlotEnd`] | `slot: u32` |
-//! | 7 | [`JournalRecord::Shed`] | `request_id: u32`, `reason: u8` |
+//! | 7 | [`JournalRecord::Shed`] | `request_id: u32`, `reason: u8` (0 = queue full, 1 = deadline; 2 is retired and never reused) |
 //!
 //! All integers are little-endian; `f64` fields are raw IEEE-754 bits, so
 //! replaying a journal reproduces prices and valuations bit-for-bit.
@@ -189,9 +189,6 @@ pub enum ShedReason {
     QueueFull,
     /// The request's service deadline passed before its commit turn.
     DeadlineExceeded,
-    /// Concurrent commits invalidated its quote more times than the
-    /// retry limit allows.
-    RetriesExhausted,
 }
 
 impl JournalRecord {
@@ -271,7 +268,6 @@ impl JournalRecord {
                 w.u8(match reason {
                     ShedReason::QueueFull => 0,
                     ShedReason::DeadlineExceeded => 1,
-                    ShedReason::RetriesExhausted => 2,
                 });
             }
         }
@@ -344,7 +340,6 @@ impl JournalRecord {
                 reason: match r.u8()? {
                     0 => ShedReason::QueueFull,
                     1 => ShedReason::DeadlineExceeded,
-                    2 => ShedReason::RetriesExhausted,
                     tag => return Err(WireError::BadTag { tag, context: "ShedReason" }),
                 },
             }),
@@ -612,7 +607,7 @@ mod tests {
             },
             JournalRecord::Repair { slot: 3, booking_index: 1, outcome: RepairEvent::Pending },
             JournalRecord::Shed { request_id: 11, reason: ShedReason::QueueFull },
-            JournalRecord::Shed { request_id: 12, reason: ShedReason::RetriesExhausted },
+            JournalRecord::Shed { request_id: 12, reason: ShedReason::DeadlineExceeded },
             JournalRecord::SlotEnd { slot: 3 },
         ]
     }
@@ -631,6 +626,12 @@ mod tests {
                 assert!(JournalRecord::decode(&mut r).is_err(), "cut at {cut}: {record:?}");
             }
         }
+        // Shed reason byte 2 is retired: it decodes to nothing.
+        let retired = [7, 12, 0, 0, 0, 2];
+        assert!(matches!(
+            JournalRecord::decode(&mut Reader::new(&retired)),
+            Err(WireError::BadTag { tag: 2, context: "ShedReason" })
+        ));
     }
 
     #[test]

@@ -28,7 +28,6 @@ fn served_metrics_equal_serial_batch_at_every_worker_count() {
         assert_eq!(report.stats.conflicts, 0, "workers={workers}");
         assert_eq!(report.stats.shed_queue_full, 0, "workers={workers}");
         assert_eq!(report.stats.shed_deadline, 0, "workers={workers}");
-        assert_eq!(report.stats.shed_retries, 0, "workers={workers}");
         metrics.processing_ms = reference.processing_ms; // wall clock may differ
         assert_eq!(metrics, reference, "workers={workers}");
     }

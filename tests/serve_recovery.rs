@@ -44,10 +44,6 @@ fn serve_cfg(f: &Fixture) -> ServeConfig {
     cfg
 }
 
-fn canon(records: &[JournalRecord]) -> Vec<JournalRecord> {
-    records.iter().map(wal::canonical_record).collect()
-}
-
 fn snapshot(state: &NetworkState) -> Vec<u8> {
     let mut w = sb_wire::Writer::new();
     state.encode_snapshot(&mut w);
@@ -153,7 +149,6 @@ fn kill_anywhere_recovery_is_bit_identical() {
     let f = fixture();
     let (ref_records, ref_snapshot) = resume_and_finish(&f, &[], None);
     assert_eq!(ref_records.len(), f.requests.len() + 1); // RunStart + decisions
-    let ref_canon = canon(&ref_records);
 
     // Size the kill scripts against a clean run's operation count.
     let probe = crashed_run(&f, FaultPlan::none(), None);
@@ -211,13 +206,13 @@ fn kill_anywhere_recovery_is_bit_identical() {
         }
         // The durable prefix agrees with the reference decision stream.
         assert_eq!(
-            canon(&scan.records)[..],
-            ref_canon[..scan.records.len()],
+            scan.records[..],
+            ref_records[..scan.records.len()],
             "{label}: durable prefix diverges from the reference stream"
         );
         // Recover, resume, finish: bit-identical stream and state.
         let (records, snap) = resume_and_finish(&f, &crash.durable, None);
-        assert_eq!(canon(&records), ref_canon, "{label}: decision streams differ");
+        assert_eq!(records, ref_records, "{label}: decision streams differ");
         assert_eq!(snap, ref_snapshot, "{label}: final states differ");
     }
 }
@@ -228,7 +223,6 @@ fn kill_anywhere_recovery_is_bit_identical() {
 fn checkpointed_recovery_matches_full_replay() {
     let f = fixture();
     let (ref_records, ref_snapshot) = resume_and_finish(&f, &[], None);
-    let ref_canon = canon(&ref_records);
     for (i, at) in [17u64, 43].into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!("sb_serve_recovery_ckpt_{i}"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -240,8 +234,38 @@ fn checkpointed_recovery_matches_full_replay() {
         assert!(loaded.is_some(), "kill@{at}: no checkpoint was written before the crash");
 
         let (records, snap) = resume_and_finish(&f, &crash.durable, Some((&dir, 7)));
-        assert_eq!(canon(&records), ref_canon, "kill@{at}: decision streams differ");
+        assert_eq!(records, ref_records, "kill@{at}: decision streams differ");
         assert_eq!(snap, ref_snapshot, "kill@{at}: final states differ");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// With nothing shed the WAL is a function of submission order alone:
+/// one burst, submitted before any ticket is redeemed so quotes go stale,
+/// leaves the same bytes behind at 1 and at 4 workers.
+#[test]
+fn wal_bytes_do_not_depend_on_the_worker_count() {
+    let f = fixture();
+    let wal_at = |workers: usize| {
+        let io = FaultIo::new(FaultPlan::none());
+        let mut cfg = serve_cfg(&f);
+        cfg.workers = workers;
+        assert!(cfg.queue_depth >= f.requests.len(), "the queue must hold the whole burst");
+        let journal = Journal::from_io(Box::new(io.clone()));
+        let service = AdmissionService::start(fresh_state(&f), journal, cfg, None, 0)
+            .expect("service starts");
+        let tickets: Vec<_> =
+            f.requests.iter().map(|r| service.submit(r.clone()).expect("submits")).collect();
+        for t in tickets {
+            t.wait().expect("decided");
+        }
+        let report = service.drain();
+        assert_eq!(report.failure, None, "workers={workers}");
+        assert_eq!(report.stats.decisions(), report.stats.submitted, "workers={workers}");
+        assert_eq!(report.stats.shed_queue_full + report.stats.shed_deadline, 0);
+        io.durable_bytes()
+    };
+    let one = wal_at(1);
+    assert_eq!(journal::scan_bytes(&one).records.len(), f.requests.len() + 1);
+    assert_eq!(one, wal_at(4));
 }
