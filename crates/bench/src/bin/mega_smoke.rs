@@ -11,8 +11,8 @@
 //! ```
 //!
 //! Exits non-zero (panics) on any violated contract, so CI can run it
-//! bare. The full-horizon measured numbers live in `BENCH_perf.json`'s
-//! `mega` section (see the `perf` bin); this bin is the fast gate.
+//! bare. The full-horizon measured numbers are `topo_mega`'s in
+//! `BENCH_benchmark/` (see `crates/benchmark`); this bin is the gate.
 
 use sb_geo::coords::Geodetic;
 use sb_orbit::walker::WalkerConstellation;
@@ -24,8 +24,9 @@ use std::time::Instant;
 /// range splits, short enough for a CI smoke job.
 const SMOKE_SLOTS: usize = 4;
 
-/// Same retained-series ceiling the perf bin asserts at the full mega
-/// horizon; the smoke horizon is shorter, so this is strictly looser.
+/// Ceiling on the retained two-shell series (measured: `topo_mega`'s
+/// `topology.series_heap_mib`); the ≥5× marginal ratio below is the
+/// sharper check against per-slot cloning.
 const MEGA_HEAP_CEILING_BYTES: usize = 256 << 20;
 
 /// The three-shell preset carries ~3× the satellites; the base snapshot

@@ -11,7 +11,6 @@ pub use sb_fleet::SweepCell;
 use sb_fleet::ChaosPlan;
 use sb_sim::engine::{self, AlgorithmKind, PreparedNetwork};
 use sb_sim::{DurabilityOptions, PreparedCache, RunMetrics, RunOutcome, ScenarioConfig};
-use sb_topology::{NodeId, TopologySnapshot};
 
 /// Command-line options shared by every figure binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,20 +62,6 @@ impl Default for FigureOptions {
             chaos: None,
         }
     }
-}
-
-/// The same graph in the dense layout, rebuilt through the public API —
-/// what the full-rebuild oracle stores for a slot the delta compiler keeps
-/// split.
-pub fn dense_twin(split: &TopologySnapshot) -> TopologySnapshot {
-    let nodes = (0..split.num_nodes() as u32).map(NodeId);
-    TopologySnapshot::from_edges(
-        split.slot(),
-        split.kinds().to_vec(),
-        nodes.clone().map(|v| split.position(v)).collect(),
-        nodes.map(|v| split.is_sunlit(v)).collect(),
-        split.edges().collect(),
-    )
 }
 
 /// The default worker count: the host's available parallelism, 1 when it

@@ -494,36 +494,6 @@ pub fn plan_slot_cost(
     cost
 }
 
-/// [`plan_slot_cost`] priced through a [`PriceCache`] (whose `μ₁, μ₂`
-/// replace the explicit parameters): every `μ^λ` becomes a table read,
-/// and the result is bit-identical to the uncached function.
-pub fn plan_slot_cost_cached(
-    sp: &SlotPath,
-    request: &Request,
-    state: &NetworkState,
-    prices: &mut PriceCache,
-) -> f64 {
-    let snapshot = state.series().snapshot(sp.slot);
-    let rate = request.rate_at(sp.slot);
-    let slot_s = state.slot_duration_s();
-    let ledger = state.ledger();
-    let params = state.energy_params();
-
-    let mut cost = 0.0;
-    for &e in &sp.edges {
-        cost += rate * prices.link_unit_price(state, sp.slot, e);
-    }
-    for (node, role) in sp.satellite_roles(snapshot) {
-        let sat = state.satellite_index(node).expect("role on non-satellite");
-        let consumption = params.consumption_j(role, rate, slot_s);
-        let trace = ledger
-            .peek(sat, sp.slot.index(), consumption)
-            .expect("committed path must be energy-feasible");
-        cost += pricing::deficit_price_with(&trace, |tt| prices.battery_unit_price(state, sat, tt));
-    }
-    cost
-}
-
 /// Counters accumulated over an instance's quotes — see
 /// [`Cear::quote_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -842,30 +812,6 @@ mod tests {
         expected.merge(&once);
         expected.merge(&once);
         assert_eq!(cear.quote_stats().search, expected, "three quotes, three times the work");
-    }
-
-    #[test]
-    fn plan_slot_cost_cached_matches_uncached_bitwise() {
-        let (mut state, src, dst) = build_state(1);
-        let mut cear = Cear::new(CearParams::default());
-        for _ in 0..3 {
-            let filler = request(src, dst, 1200.0, 0, 0, f64::MAX);
-            let _ = cear.process(&filler, &mut state);
-        }
-        let req = request(src, dst, 800.0, 0, 0, f64::MAX);
-        let (plan, _) = cear.quote(&req, &state).expect("feasible");
-        let mu1 = cear.params().mu1();
-        let mu2 = cear.params().mu2();
-        let mut prices = PriceCache::new(mu1, mu2);
-        for sp in &plan.slot_paths {
-            let fresh = plan_slot_cost(sp, &req, &state, mu1, mu2);
-            // Twice: a cold pass (fills the cache) and a warm pass (pure
-            // table reads) must both reproduce the exact bits.
-            for pass in 0..2 {
-                let cached = plan_slot_cost_cached(sp, &req, &state, &mut prices);
-                assert_eq!(cached.to_bits(), fresh.to_bits(), "pass {pass}");
-            }
-        }
     }
 
     /// Exercises the [`EpochReadSet`] soundness contract for one request

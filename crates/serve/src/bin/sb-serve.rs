@@ -155,13 +155,12 @@ fn main() {
     let s = &report.stats;
     println!(
         "sb-serve: digest={run_digest} decisions={} admitted={} rejected={} shed={} \
-         conflicts={} requotes={} degraded_entries={} checkpoints={} lost_acks={lost}",
+         conflicts={} degraded_entries={} checkpoints={} lost_acks={lost}",
         s.decisions(),
         s.admitted,
         s.rejected_no_path + s.rejected_price + s.rejected_commit,
         s.shed_queue_full + s.shed_deadline,
         s.conflicts,
-        s.requotes,
         s.degraded_entries,
         s.checkpoints,
     );
